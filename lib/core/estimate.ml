@@ -26,71 +26,37 @@ let default_options =
     accumulation = `Absolute;
   }
 
-(* Runtime registry fed by generated [__chef_reg*] calls. *)
-type registry = {
-  ids : (string, int) Hashtbl.t;
-  mutable names : string array;
-  mutable totals : float array;
-  mutable lo : float array;
-  mutable hi : float array;
-  iters : (int * int, float ref) Hashtbl.t;
-}
-
-let registry_create () =
-  {
-    ids = Hashtbl.create 16;
-    names = [||];
-    totals = [||];
-    lo = [||];
-    hi = [||];
-    iters = Hashtbl.create 64;
-  }
-
-let registry_id reg var =
-  match Hashtbl.find_opt reg.ids var with
+(* Dense ids for the variables the generated [__chef_reg*] calls
+   record; a run's recordings go to a per-run [Compile.sink] indexed by
+   them. *)
+let var_id ids var =
+  match Hashtbl.find_opt ids var with
   | Some id -> id
   | None ->
-      let id = Hashtbl.length reg.ids in
-      Hashtbl.replace reg.ids var id;
+      let id = Hashtbl.length ids in
+      Hashtbl.replace ids var id;
       id
 
-let registry_seal reg =
-  let n = Hashtbl.length reg.ids in
-  reg.names <- Array.make n "";
-  Hashtbl.iter (fun name id -> reg.names.(id) <- name) reg.ids;
-  reg.totals <- Array.make n 0.;
-  reg.lo <- Array.make n Float.infinity;
-  reg.hi <- Array.make n Float.neg_infinity
-
-let registry_reset reg =
-  Array.fill reg.totals 0 (Array.length reg.totals) 0.;
-  Array.fill reg.lo 0 (Array.length reg.lo) Float.infinity;
-  Array.fill reg.hi 0 (Array.length reg.hi) Float.neg_infinity;
-  Hashtbl.reset reg.iters
-
-(* The [__chef_reg*] runtime callbacks are registered in a builtins
-   table that may be shared and long-lived (the serve daemon keeps one
-   across all requests). They must not close over any particular
-   estimate's registry: two estimates built against the same table
-   would clobber each other's recordings — truncated attributions, or
-   out-of-bounds ids when the programs differ. Instead the callbacks
-   dispatch through a domain-local slot that [run] points at the
-   executing estimate's registry for the duration of the execution
-   (each execution stays on one domain, and pool workers run one task
-   at a time, so the slot cannot be observed mid-swap). *)
-let active_registry : registry option ref Domain.DLS.key =
+(* The [__chef_reg*] intrinsics are tagged [Record_*], so compiled code
+   writes straight into the sink carried by its run environment. Only
+   the interpreter calls their implementations, which find the sink of
+   the running [run_interpreted] through a domain-local slot (each
+   execution stays on one domain). The builtins table may be shared and
+   long-lived (the serve daemon keeps one across all requests), so the
+   callbacks must not close over any particular estimate. *)
+let active_sink : Compile.sink option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let with_registry reg f =
-  let slot = Domain.DLS.get active_registry in
+let with_sink sink f =
+  let slot = Domain.DLS.get active_sink in
   let saved = !slot in
-  slot := Some reg;
+  slot := Some sink;
   Fun.protect ~finally:(fun () -> slot := saved) f
 
-let recording_registry () =
-  match !(Domain.DLS.get active_registry) with
-  | Some reg -> reg
-  | None -> failwith "__chef_reg* called outside Estimate.run"
+let recording_sink () =
+  match !(Domain.DLS.get active_sink) with
+  | Some sink -> sink
+  | None -> failwith "__chef_reg* called outside an Estimate run"
 
 type t = {
   source_func : func;
@@ -100,7 +66,7 @@ type t = {
   prog : program;
   builtins : Builtins.t;
   compiled : Compile.t;
-  registry : registry;
+  var_names : string array;  (** recorded variables, by id *)
   scalar_grad_params : (string * string) list;  (** original -> adjoint out *)
   array_grad_params : (string * string) list;
   error_param : string;
@@ -131,7 +97,7 @@ let estimate_error_inner ?(model = Model.taylor ())
   let builtins =
     match builtins with Some b -> b | None -> Builtins.create ()
   in
-  let registry = registry_create () in
+  let ids = Hashtbl.create 16 in
   let acc_name = ref None in
   let get_acc (info : Reverse.info) =
     match !acc_name with
@@ -161,7 +127,7 @@ let estimate_error_inner ?(model = Model.taylor ())
     if raw = Fconst 0. then []
     else begin
       let e = info.Reverse.fresh "_e" in
-      let id = registry_id registry ctx.Reverse.lhs_base in
+      let id = var_id ids ctx.Reverse.lhs_base in
       let contribution =
         match options.accumulation with
         | `Absolute -> Call ("fabs", [ raw ])
@@ -226,37 +192,31 @@ let estimate_error_inner ?(model = Model.taylor ())
             ~use_activity:options.use_activity prog func)
     with Reverse.Error m -> err "%s" m
   in
-  registry_seal registry;
+  let var_names = Array.make (Hashtbl.length ids) "" in
+  Hashtbl.iter (fun name id -> var_names.(id) <- name) ids;
   (* Runtime callbacks. *)
   let reg_sig args =
     { Builtins.args; ret = Builtins.Kflt; cls = Cheffp_precision.Cost.Basic;
       approx = false }
   in
-  Builtins.register builtins "__chef_reg"
+  Builtins.register ~prim:Builtins.Record_total builtins "__chef_reg"
     (reg_sig [ Builtins.Kint; Builtins.Kflt ])
     (fun a ->
-      let reg = recording_registry () in
-      let id = Builtins.as_int a.(0) and e = Builtins.as_float a.(1) in
-      reg.totals.(id) <- reg.totals.(id) +. e;
+      let e = Builtins.as_float a.(1) in
+      Compile.record_total (recording_sink ()) (Builtins.as_int a.(0)) e;
       Builtins.F e);
-  Builtins.register builtins "__chef_range"
+  Builtins.register ~prim:Builtins.Record_range builtins "__chef_range"
     (reg_sig [ Builtins.Kint; Builtins.Kflt ])
     (fun a ->
-      let reg = recording_registry () in
-      let id = Builtins.as_int a.(0) and v = Builtins.as_float a.(1) in
-      if v < reg.lo.(id) then reg.lo.(id) <- v;
-      if v > reg.hi.(id) then reg.hi.(id) <- v;
+      let v = Builtins.as_float a.(1) in
+      Compile.record_range (recording_sink ()) (Builtins.as_int a.(0)) v;
       Builtins.F v);
-  Builtins.register builtins "__chef_reg_iter"
+  Builtins.register ~prim:Builtins.Record_iter builtins "__chef_reg_iter"
     (reg_sig [ Builtins.Kint; Builtins.Kint; Builtins.Kflt ])
     (fun a ->
-      let reg = recording_registry () in
-      let id = Builtins.as_int a.(0)
-      and iter = Builtins.as_int a.(1)
-      and s = Builtins.as_float a.(2) in
-      (match Hashtbl.find_opt reg.iters (id, iter) with
-      | Some r -> r := !r +. s
-      | None -> Hashtbl.replace reg.iters (id, iter) (ref s));
+      let s = Builtins.as_float a.(2) in
+      Compile.record_iter (recording_sink ()) (Builtins.as_int a.(0))
+        (Builtins.as_int a.(1)) s;
       Builtins.F s);
   model.Model.setup builtins;
   let f = func_exn prog func in
@@ -316,7 +276,7 @@ let estimate_error_inner ?(model = Model.taylor ())
     prog = prog';
     builtins;
     compiled;
-    registry;
+    var_names;
     scalar_grad_params = List.rev scalar_grads;
     array_grad_params = List.rev array_grads;
     error_param = "_fp_error";
@@ -415,7 +375,8 @@ let assemble_args t (args : Interp.arg list) =
     array_inputs = List.rev !array_inputs;
   }
 
-let build_report t (result : Interp.result) (inputs : run_inputs) =
+let build_report t (sink : Compile.sink) (result : Interp.result)
+    (inputs : run_inputs) =
   let out name =
     match List.assoc_opt name result.Interp.outs with
     | Some (Builtins.F x) -> x
@@ -451,8 +412,8 @@ let build_report t (result : Interp.result) (inputs : run_inputs) =
   in
   let input_total = List.fold_left (fun acc (_, e) -> acc +. e) 0. input_terms in
   let per_variable =
-    Array.to_list (Array.mapi (fun id e -> (t.registry.names.(id), e)) t.registry.totals)
-    @ List.filter (fun (_, e) -> e <> 0. || true) input_terms
+    Array.to_list (Array.mapi (fun id e -> (t.var_names.(id), e)) sink.totals)
+    @ input_terms
     |> List.fold_left
          (fun acc (name, e) ->
            match List.assoc_opt name acc with
@@ -465,11 +426,11 @@ let build_report t (result : Interp.result) (inputs : run_inputs) =
     let tbl : (string, (int * float) list ref) Hashtbl.t = Hashtbl.create 8 in
     Hashtbl.iter
       (fun (id, iter) v ->
-        let name = t.registry.names.(id) in
+        let name = t.var_names.(id) in
         match Hashtbl.find_opt tbl name with
         | Some l -> l := (iter, !v) :: !l
         | None -> Hashtbl.replace tbl name (ref [ (iter, !v) ]))
-      t.registry.iters;
+      sink.iters;
     Hashtbl.fold
       (fun name l acc ->
         (name, List.sort (fun (a, _) (b, _) -> compare a b) !l) :: acc)
@@ -479,14 +440,14 @@ let build_report t (result : Interp.result) (inputs : run_inputs) =
   let array_gradients =
     List.map (fun (name, _, d) -> (name, d)) inputs.array_inputs
   in
-  (* Observed value ranges: assigned variables from the registry, inputs
+  (* Observed value ranges: assigned variables from the sink, inputs
      from the argument values themselves. *)
   let ranges =
     let assigned =
       Array.to_list
         (Array.mapi
-           (fun id lo -> (t.registry.names.(id), (lo, t.registry.hi.(id))))
-           t.registry.lo)
+           (fun id lo -> (t.var_names.(id), (lo, sink.hi.(id))))
+           sink.lo)
       |> List.filter (fun (_, (lo, hi)) -> lo <= hi)
     in
     let scalars =
@@ -526,11 +487,9 @@ let build_report t (result : Interp.result) (inputs : run_inputs) =
 let run t args =
   Trace.with_span "estimate.run" (fun () ->
       let inputs = assemble_args t args in
-      registry_reset t.registry;
-      let result =
-        with_registry t.registry (fun () -> Compile.run t.compiled inputs.full)
-      in
-      let report = build_report t result inputs in
+      let sink = Compile.sink (Array.length t.var_names) in
+      let result = Compile.run ~sink t.compiled inputs.full in
+      let report = build_report t sink result inputs in
       if Trace.enabled () then begin
         Trace.add_attr "func" (Trace.Str t.source_func.fname);
         Trace.add_attr "total_error" (Trace.Float report.total_error);
@@ -544,10 +503,9 @@ let run_sampled t ~plan ~seed ~samples =
       if Trace.enabled () then
         Trace.add_attr "samples" (Trace.Int samples);
       let q = Quantile.create () in
-      (* Sequential on purpose: the instrumentation registry is shared
-         mutable state reset per [run], so sampled analyses cannot fan
-         out across domains. The batched input-sweep path (Sampling /
-         Search) is where parallel sampling lives. *)
+      (* Sequential: one scalar analysis run per sample. The batched
+         input-sweep path (Sampling / Search) is where parallel sampling
+         lives. *)
       for i = 0 to samples - 1 do
         let args = Sampling.draw plan ~seed i in
         Quantile.add q (run t args).total_error
@@ -556,10 +514,10 @@ let run_sampled t ~plan ~seed ~samples =
 
 let run_interpreted t args =
   let inputs = assemble_args t args in
-  registry_reset t.registry;
+  let sink = Compile.sink (Array.length t.var_names) in
   let result =
-    with_registry t.registry (fun () ->
+    with_sink sink (fun () ->
         Interp.run ~builtins:t.builtins ~prog:t.prog ~func:t.grad.fname
           inputs.full)
   in
-  build_report t result inputs
+  build_report t sink result inputs

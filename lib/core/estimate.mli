@@ -11,15 +11,17 @@
     code: this inlining is the paper's key performance claim.
 
     Per-variable attribution and per-iteration sensitivity tracking are
-    implemented as calls from generated code into a runtime registry
-    (integer-id keyed), enabled on demand. *)
+    implemented as calls from generated code that record into a per-run
+    sink (integer-id keyed), enabled on demand. The compiler lowers
+    those calls to direct writes into the sink ({!Compile.sink}). *)
 
 open Cheffp_ir
 
 exception Error of string
 
 type t
-(** A prepared analysis: generated source + compiled form + registry. *)
+(** A prepared analysis: generated source + compiled form + the ids of
+    the recorded variables. *)
 
 type options = {
   per_variable : bool;
@@ -92,7 +94,8 @@ val run : t -> Interp.arg list -> report
 (** Execute the analysis on the original function's arguments (the
     derivative and error outputs are appended automatically: array
     derivative buffers are allocated to match input lengths). Can be
-    called repeatedly; the registry is reset on each call. *)
+    called repeatedly, also concurrently: each call records into a sink
+    of its own. *)
 
 val run_sampled :
   t -> plan:Sampling.plan -> seed:int64 -> samples:int -> Quantile.summary
@@ -100,8 +103,7 @@ val run_sampled :
     [samples] input vectors drawn from [plan] (sample [i] from
     [Rng.substream seed i], same determinism contract as
     {!Sampling.draw}) and reduces the [total_error] stream to
-    p50/p95/p99/max. Sequential — the instrumentation registry is
-    per-analysis mutable state — so cost is [samples] scalar analysis
+    p50/p95/p99/max. Sequential, so cost is [samples] scalar analysis
     runs; use {!Sampling.measured_summary} for the batched measured-error
     path. @raise Invalid_argument when [samples < 1]. *)
 

@@ -21,11 +21,40 @@ let lanes_g = Metrics.gauge "batch.lanes"
 let runs_c = Metrics.counter "batch.runs"
 let divergence_c = Metrics.counter "batch.divergence_total"
 
-(* Pre-applied rounders: the per-lane loops dispatch on a format tag
-   instead of calling [Fp.round fmt] through a closure per element. *)
-let r32 = Fp.round Fp.F32
-let r16 = Fp.round Fp.F16
-let rnd fmt x = match fmt with Fp.F64 -> x | Fp.F32 -> r32 x | Fp.F16 -> r16 x
+(* Rounders for the per-lane loops, which dispatch on a format tag.
+   [r32] repeats [Fp.round F32] inline because a call through a closure
+   or into another compilation unit boxes its float argument; [r16]
+   (binary16 is rare) does call [Fp.round]. *)
+let[@inline] r32 x = Int32.float_of_bits (Int32.bits_of_float x)
+let r16 x = Fp.round Fp.F16 x
+
+let[@inline] rnd fmt x =
+  match fmt with Fp.F64 -> x | Fp.F32 -> r32 x | Fp.F16 -> r16 x
+
+(* [dst.(l) <- p src.(l)] on the first [k] lanes, for a default
+   intrinsic still tagged with its primitive ({!Builtins.prim}): the
+   primitive runs unboxed instead of through the registered closure. *)
+let unary_lanes (p : Builtins.prim) : int -> float array -> float array -> unit
+    =
+  match p with
+  | Sin -> fun k src dst -> for l = 0 to k - 1 do dst.(l) <- sin src.(l) done
+  | Cos -> fun k src dst -> for l = 0 to k - 1 do dst.(l) <- cos src.(l) done
+  | Tan -> fun k src dst -> for l = 0 to k - 1 do dst.(l) <- tan src.(l) done
+  | Exp -> fun k src dst -> for l = 0 to k - 1 do dst.(l) <- exp src.(l) done
+  | Log -> fun k src dst -> for l = 0 to k - 1 do dst.(l) <- log src.(l) done
+  | Log10 ->
+      fun k src dst -> for l = 0 to k - 1 do dst.(l) <- log10 src.(l) done
+  | Sqrt -> fun k src dst -> for l = 0 to k - 1 do dst.(l) <- sqrt src.(l) done
+  | Tanh -> fun k src dst -> for l = 0 to k - 1 do dst.(l) <- tanh src.(l) done
+  | Atan -> fun k src dst -> for l = 0 to k - 1 do dst.(l) <- atan src.(l) done
+  | Fabs ->
+      fun k src dst -> for l = 0 to k - 1 do dst.(l) <- Float.abs src.(l) done
+  | Floor ->
+      fun k src dst -> for l = 0 to k - 1 do dst.(l) <- Float.floor src.(l) done
+  | Ceil ->
+      fun k src dst -> for l = 0 to k - 1 do dst.(l) <- Float.ceil src.(l) done
+  | Castf32 -> fun k src dst -> for l = 0 to k - 1 do dst.(l) <- r32 src.(l) done
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Run-time environment: one per batch run, structure-of-arrays over
@@ -464,21 +493,41 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
     let s = fresh_scratch () in
     let base : benv -> float array -> unit =
       match
-        (compiled, Builtins.fast1 builtins name, Builtins.fast2 builtins name)
+        ( Builtins.prim builtins name,
+          compiled,
+          Builtins.fast1 builtins name,
+          Builtins.fast2 builtins name )
       with
-      | [ `F a ], Some g, _ ->
+      | ( Some
+            (( Sin | Cos | Tan | Exp | Log | Log10 | Sqrt | Tanh | Atan | Fabs
+             | Floor | Ceil | Castf32 ) as p),
+          [ `F a ],
+          _,
+          _ ) ->
+          let run = unary_lanes p in
+          fun benv dst -> run benv.k (a.ev benv) dst
+      | Some Pow, [ `F a; `F b ], _, _ ->
+          fun benv dst ->
+            let va = a.ev benv and vb = b.ev benv in
+            for l = 0 to benv.k - 1 do
+              dst.(l) <- va.(l) ** vb.(l)
+            done
+      | Some Itof, [ `I g ], _, _ ->
+          (* ints are uniform across the lanes *)
+          fun benv dst -> Array.fill dst 0 benv.k (float_of_int (g benv))
+      | _, [ `F a ], Some g, _ ->
           fun benv dst ->
             let src = a.ev benv in
             for l = 0 to benv.k - 1 do
               dst.(l) <- g src.(l)
             done
-      | [ `F a; `F b ], _, Some g ->
+      | _, [ `F a; `F b ], _, Some g ->
           fun benv dst ->
             let va = a.ev benv and vb = b.ev benv in
             for l = 0 to benv.k - 1 do
               dst.(l) <- g va.(l) vb.(l)
             done
-      | _, _, _ ->
+      | _, _, _, _ ->
           let getters = Array.of_list compiled in
           fun benv dst ->
             let vals =

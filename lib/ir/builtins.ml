@@ -19,8 +19,32 @@ type impl = value array -> value
 
 type iv = float * float
 
+type prim =
+  | Sin
+  | Cos
+  | Tan
+  | Exp
+  | Log
+  | Log10
+  | Sqrt
+  | Tanh
+  | Atan
+  | Fabs
+  | Floor
+  | Ceil
+  | Castf32
+  | Pow
+  | Fma
+  | Select
+  | Itof
+  | Ftoi
+  | Record_total
+  | Record_range
+  | Record_iter
+
 type t = {
   entries : (string, signature * impl) Hashtbl.t;
+  prims : (string, prim) Hashtbl.t;
   fast1s : (string, float -> float) Hashtbl.t;
   fast2s : (string, float -> float -> float) Hashtbl.t;
   interval1s : (string, iv -> iv) Hashtbl.t;
@@ -30,6 +54,7 @@ type t = {
 let empty () : t =
   {
     entries = Hashtbl.create 64;
+    prims = Hashtbl.create 32;
     fast1s = Hashtbl.create 32;
     fast2s = Hashtbl.create 8;
     interval1s = Hashtbl.create 32;
@@ -39,8 +64,16 @@ let empty () : t =
 (* Re-registering an intrinsic clears its interval hook: a replacement
    implementation (e.g. a FastApprox polynomial over the libm default)
    makes the old enclosure unsound, and a missing hook degrades range
-   analysis to an `Unbounded` verdict instead of a wrong number. *)
-let register t name signature impl =
+   analysis to an `Unbounded` verdict instead of a wrong number. It
+   clears the primitive tag for the same reason: compiled code would
+   otherwise keep running the default. A given [prim] overwrites the
+   tag in place, never removing it first: a table shared across
+   domains (the serve daemon's) is re-registered by every estimate
+   build, and a concurrent compile must not see the tag missing. *)
+let register ?prim t name signature impl =
+  (match prim with
+  | Some p -> Hashtbl.replace t.prims name p
+  | None -> Hashtbl.remove t.prims name);
   Hashtbl.remove t.fast1s name;
   Hashtbl.remove t.fast2s name;
   Hashtbl.remove t.interval1s name;
@@ -48,6 +81,7 @@ let register t name signature impl =
   Hashtbl.replace t.entries name (signature, impl)
 
 let find t name = Hashtbl.find_opt t.entries name
+let prim t name = Hashtbl.find_opt t.prims name
 let mem t name = Hashtbl.mem t.entries name
 let fast1 t name = Hashtbl.find_opt t.fast1s name
 let fast2 t name = Hashtbl.find_opt t.fast2s name
@@ -72,14 +106,15 @@ let as_int = function
   | I n -> n
   | F _ -> invalid_arg "Builtins: expected an integer value"
 
-let register_float1 t name ?(cls = Cost.Transcendental) ?(approx = false) f =
-  register t name
+let register_float1 ?prim t name ?(cls = Cost.Transcendental)
+    ?(approx = false) f =
+  register ?prim t name
     { args = [ Kflt ]; ret = Kflt; cls; approx }
     (fun a -> F (f (as_float a.(0))));
   Hashtbl.replace t.fast1s name f
 
-let register_float2 t name ?(cls = Cost.Transcendental) ?(approx = false) f =
-  register t name
+let float2 ?prim t name ?(cls = Cost.Transcendental) ?(approx = false) f =
+  register ?prim t name
     { args = [ Kflt; Kflt ]; ret = Kflt; cls; approx }
     (fun a -> F (f (as_float a.(0)) (as_float a.(1))));
   Hashtbl.replace t.fast2s name f
@@ -203,40 +238,43 @@ let register_default_intervals t =
   register_interval2 t "fmax" (fun (alo, ahi) (blo, bhi) ->
       (Float.max alo blo, Float.max ahi bhi))
 
+(* The defaults tagged with a primitive are exactly a stdlib primitive,
+   which the compiler then calls unboxed; the rest (log2, sign, fmin,
+   fmax, castf16) stay on the closure path. *)
 let create () =
   let t = empty () in
-  register_float1 t "sin" sin;
-  register_float1 t "cos" cos;
-  register_float1 t "tan" tan;
-  register_float1 t "exp" exp;
-  register_float1 t "log" log;
-  register_float1 t "log2" (fun x -> log x /. log 2.);
-  register_float1 t "log10" log10;
-  register_float1 t "sqrt" ~cls:Cost.Square_root sqrt;
-  register_float1 t "tanh" tanh;
-  register_float1 t "atan" atan;
-  register_float1 t "fabs" ~cls:Cost.Basic Float.abs;
-  register_float1 t "floor" ~cls:Cost.Basic Float.floor;
-  register_float1 t "ceil" ~cls:Cost.Basic Float.ceil;
-  register_float1 t "sign" ~cls:Cost.Basic sign;
-  register_float1 t "castf32" ~cls:Cost.Basic (Fp.round Fp.F32);
-  register_float1 t "castf16" ~cls:Cost.Basic (Fp.round Fp.F16);
-  register_float2 t "pow" ( ** );
-  register_float2 t "fmin" ~cls:Cost.Basic Float.min;
-  register_float2 t "fmax" ~cls:Cost.Basic Float.max;
-  register t "fma"
+  let float1 ?prim ?cls name f = register_float1 ?prim t name ?cls f
+  and float2 ?prim ?cls name f = float2 ?prim t name ?cls f in
+  float1 ~prim:Sin "sin" sin;
+  float1 ~prim:Cos "cos" cos;
+  float1 ~prim:Tan "tan" tan;
+  float1 ~prim:Exp "exp" exp;
+  float1 ~prim:Log "log" log;
+  float1 "log2" (fun x -> log x /. log 2.);
+  float1 ~prim:Log10 "log10" log10;
+  float1 ~prim:Sqrt "sqrt" ~cls:Cost.Square_root sqrt;
+  float1 ~prim:Tanh "tanh" tanh;
+  float1 ~prim:Atan "atan" atan;
+  float1 ~prim:Fabs "fabs" ~cls:Cost.Basic Float.abs;
+  float1 ~prim:Floor "floor" ~cls:Cost.Basic Float.floor;
+  float1 ~prim:Ceil "ceil" ~cls:Cost.Basic Float.ceil;
+  float1 "sign" ~cls:Cost.Basic sign;
+  float1 ~prim:Castf32 "castf32" ~cls:Cost.Basic (Fp.round Fp.F32);
+  float1 "castf16" ~cls:Cost.Basic (Fp.round Fp.F16);
+  float2 ~prim:Pow "pow" ( ** );
+  float2 "fmin" ~cls:Cost.Basic Float.min;
+  float2 "fmax" ~cls:Cost.Basic Float.max;
+  register ~prim:Fma t "fma"
     { args = [ Kflt; Kflt; Kflt ]; ret = Kflt; cls = Cost.Basic; approx = false }
     (fun a -> F (Float.fma (as_float a.(0)) (as_float a.(1)) (as_float a.(2))));
-  register t "select"
+  register ~prim:Select t "select"
     { args = [ Kint; Kflt; Kflt ]; ret = Kflt; cls = Cost.Basic; approx = false }
     (fun a -> F (if as_int a.(0) <> 0 then as_float a.(1) else as_float a.(2)));
-  register t "itof"
+  register ~prim:Itof t "itof"
     { args = [ Kint ]; ret = Kflt; cls = Cost.Basic; approx = false }
     (fun a -> F (float_of_int (as_int a.(0))));
-  register t "ftoi"
+  register ~prim:Ftoi t "ftoi"
     { args = [ Kflt ]; ret = Kint; cls = Cost.Basic; approx = false }
     (fun a -> I (int_of_float (as_float a.(0))));
-  (* After the registrations above: [register] clears interval hooks so
-     replacements can't inherit a stale enclosure. *)
   register_default_intervals t;
   t

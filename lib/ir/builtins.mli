@@ -31,8 +31,45 @@ val create : unit -> t
 
 val empty : unit -> t
 
-val register : t -> string -> signature -> impl -> unit
-(** Adds or replaces an intrinsic. *)
+(** Primitive tags. A tag tells the compiler it may run an intrinsic
+    as the named primitive (unboxed, without calling [impl]) instead.
+    {!create} tags the defaults that are exactly a stdlib primitive;
+    the [Record_*] tags lower the instrumentation calls of an analysis
+    to direct writes into the run's recording sink ({!Compile.sink}). *)
+type prim =
+  | Sin
+  | Cos
+  | Tan
+  | Exp
+  | Log
+  | Log10
+  | Sqrt
+  | Tanh
+  | Atan
+  | Fabs
+  | Floor
+  | Ceil
+  | Castf32
+  | Pow
+  | Fma
+  | Select
+  | Itof
+  | Ftoi
+  | Record_total  (** [(id, e)]: add [e] to the sink's [totals.(id)]; yields [e] *)
+  | Record_range  (** [(id, v)]: widen [lo.(id)], [hi.(id)] to [v]; yields [v] *)
+  | Record_iter
+      (** [(id, iter, s)]: add [s] to the sink's [(id, iter)] entry; yields [s] *)
+
+val register : ?prim:prim -> t -> string -> signature -> impl -> unit
+(** Adds or replaces an intrinsic. Replacing clears the name's
+    primitive tag and interval hooks; [prim] tags the new entry, and
+    promises that [impl] computes exactly that primitive. A given
+    [prim] overwrites the old tag in place, so re-registering the same
+    tagged entry on a table other domains compile against never leaves
+    the name untagged, even briefly. *)
+
+val prim : t -> string -> prim option
+(** The name's primitive tag, if it still holds the tagged entry. *)
 
 val find : t -> string -> (signature * impl) option
 val mem : t -> string -> bool
@@ -40,6 +77,7 @@ val signature : t -> string -> signature option
 val names : t -> string list
 
 val register_float1 :
+  ?prim:prim ->
   t ->
   string ->
   ?cls:Cheffp_precision.Cost.op_class ->
@@ -54,8 +92,8 @@ val as_float : value -> float
 val as_int : value -> int
 
 val fast1 : t -> string -> (float -> float) option
-(** Unboxed fast path for intrinsics registered via {!register_float1}
-    (used by the closure compiler to avoid boxing). *)
+(** Direct float path for intrinsics registered via {!register_float1}:
+    the compilers call it without building a [value] array. *)
 
 val fast2 : t -> string -> (float -> float -> float) option
 

@@ -1,22 +1,58 @@
-(** Closure compiler for MiniFP.
+(** Slot-instruction compiler for MiniFP.
 
-    Compiles a function (after auto-inlining its user calls) into nested
-    OCaml closures over a slot-resolved environment: variables become
-    array indices resolved at compile time, so execution carries no name
-    lookups and no value boxing on the hot path. This is the project's
-    stand-in for the paper's "generated source goes through the
-    compiler's optimization pipeline": CHEF-FP analysis code is optimized
-    ({!Optimize}) and compiled here before it runs, which is what makes it
-    faster and leaner than the tape-based baseline.
+    Compiles a function (after auto-inlining its user calls) into flat
+    arrays of [env -> unit] instructions over a slot-resolved
+    environment. Variables, constants and expression temporaries are
+    slots of one float array (and one int array), resolved at compile
+    time. Every float operation is one instruction that reads its
+    operand slots and writes its result slot; a store computes straight
+    into the variable's slot. So execution carries no name lookups, and
+    no float is boxed on the way: default intrinsics run as unboxed
+    stdlib primitives ({!Builtins.prim}), value stacks move floats
+    between arrays, cost metering adds into an unboxed total, and an
+    analysis records into the run's {!sink}. Temporaries are recycled
+    per statement, so the environment grows only by the temporaries of
+    the largest statement. Two cases still box: intrinsics that are not
+    tagged (user models, replacements of a default), which are called
+    as closures, and binary16 rounding, which calls [Fp.round].
+
+    This is the project's stand-in for the paper's "generated source
+    goes through the compiler's optimization pipeline": CHEF-FP analysis
+    code is optimized ({!Optimize}) and compiled here before it runs,
+    which is what makes it faster and leaner than the tape-based
+    baseline.
 
     Precision semantics match {!Interp} and are baked statically: under a
     mixed-precision configuration every float expression's format is
     known at compile time, so rounding (and optional cost metering) is
-    emitted only where needed and costs nothing elsewhere. *)
+    emitted as instructions only where needed and costs nothing
+    elsewhere. Metering charges are emitted in the order the expression
+    tree is evaluated (an operation's charge before its operands' code,
+    right operand before left), so totals are reproducible to the bit. *)
 
 exception Compile_error of string
 
 type t
+
+(** Per-run recording sink: where calls tagged [Record_total],
+    [Record_range] and [Record_iter] ({!Builtins.prim}) write, indexed
+    by the integer id they pass. *)
+type sink = {
+  totals : float array;
+  lo : float array;  (** [infinity] until the id is first recorded *)
+  hi : float array;  (** [neg_infinity] until the id is first recorded *)
+  iters : (int * int, float ref) Hashtbl.t;  (** keyed by (id, iteration) *)
+}
+
+val sink : int -> sink
+(** A fresh sink for ids [0 .. n-1]. *)
+
+val record_total : sink -> int -> float -> unit
+val record_range : sink -> int -> float -> unit
+val record_iter : sink -> int -> int -> float -> unit
+(** What the [Record_*] calls do: exposed for implementations of those
+    intrinsics outside compiled code (the interpreter calls them by
+    name). *)
 
 val compile :
   ?builtins:Builtins.t ->
@@ -40,13 +76,29 @@ val compile :
     A compiled value is therefore immutable after compilation and may
     be shared freely — across repeated runs, across counters, and
     across domains (every {!run} builds a private environment), which
-    is what {!Compile_cache} and the parallel tuning paths rely on. *)
+    is what {!Compile_cache} and the parallel tuning paths rely on.
 
-val run : ?counter:Cheffp_precision.Cost.Counter.t -> t -> Interp.arg list -> Interp.result
+    Primitive tags are read here: re-registering an intrinsic after
+    compiling does not affect the compiled value. *)
+
+val run :
+  ?counter:Cheffp_precision.Cost.Counter.t ->
+  ?sink:sink ->
+  t ->
+  Interp.arg list ->
+  Interp.result
 (** Execute the compiled function. The same compiled value can be run
     many times (including concurrently from several domains); arrays
     passed as arguments are shared and mutated. [counter] receives the
     run's metered costs, falling back to the compile-time [counter],
-    else to a fresh private accumulator (charges dropped). *)
+    else to a fresh private accumulator (charges dropped). [sink]
+    receives the run's recordings; without one they go to an empty
+    sink, where [Record_total] and [Record_range] fail with
+    [Invalid_argument]. *)
 
-val run_float : ?counter:Cheffp_precision.Cost.Counter.t -> t -> Interp.arg list -> float
+val run_float :
+  ?counter:Cheffp_precision.Cost.Counter.t ->
+  ?sink:sink ->
+  t ->
+  Interp.arg list ->
+  float

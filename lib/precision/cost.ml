@@ -5,76 +5,85 @@ let op_class_of_intrinsic = function
   | "abs" | "fabs" | "min" | "max" | "floor" | "ceil" -> Basic
   | _ -> Transcendental
 
-type t = {
-  basic : float;
-  division : float;
-  square_root : float;
-  transcendental : float;
-  cast_cost : float;
-  narrow_factor : float;
-  approx_discount : float;
-}
+(* A charge is an index into the model's cost table: one entry per
+   class x format for plain operations, one per class for approximate
+   intrinsics, and the cast. *)
+type charge = int
+
+let class_index = function
+  | Basic -> 0
+  | Division -> 1
+  | Square_root -> 2
+  | Transcendental -> 3
+
+let steps_below_f64 = function Fp.F64 -> 0 | Fp.F32 -> 1 | Fp.F16 -> 2
+let op_charge fmt cls = (3 * class_index cls) + steps_below_f64 fmt
+let approx_charge cls = 12 + class_index cls
+let cast_charge = 16
+
+(* The model is its cost table: the cost of every [charge], computed
+   once by [make], so metering a run is one array read per charge. *)
+type t = { table : float array }
 
 let make ?(basic = 1.0) ?(division = 4.0) ?(square_root = 4.0)
     ?(transcendental = 10.0) ?(cast = 0.25) ?(narrow_factor = 0.5)
     ?(approx_discount = 0.25) () =
-  {
-    basic;
-    division;
-    square_root;
-    transcendental;
-    cast_cost = cast;
-    narrow_factor;
-    approx_discount;
-  }
+  let base = function
+    | Basic -> basic
+    | Division -> division
+    | Square_root -> square_root
+    | Transcendental -> transcendental
+  in
+  let table = Array.make (cast_charge + 1) 0. in
+  List.iter
+    (fun cls ->
+      List.iter
+        (fun fmt ->
+          table.(op_charge fmt cls) <-
+            base cls *. (narrow_factor ** float_of_int (steps_below_f64 fmt)))
+        [ Fp.F64; Fp.F32; Fp.F16 ];
+      table.(approx_charge cls) <- base cls *. approx_discount)
+    [ Basic; Division; Square_root; Transcendental ];
+  table.(cast_charge) <- cast;
+  { table }
 
 let default = make ()
-
-let base t = function
-  | Basic -> t.basic
-  | Division -> t.division
-  | Square_root -> t.square_root
-  | Transcendental -> t.transcendental
-
-let steps_below_f64 = function Fp.F64 -> 0 | Fp.F32 -> 1 | Fp.F16 -> 2
-
-let op t fmt cls =
-  base t cls *. (t.narrow_factor ** float_of_int (steps_below_f64 fmt))
-
-let cast t = t.cast_cost
-let approx t cls = base t cls *. t.approx_discount
+let op t fmt cls = t.table.(op_charge fmt cls)
+let cast t = t.table.(cast_charge)
+let approx t cls = t.table.(approx_charge cls)
 
 module Counter = struct
   type model = t
 
+  (* An all-float record is stored flat, so adding to [sum] allocates
+     nothing; a float field of the mixed record below would be boxed
+     afresh on every charge. *)
+  type running = { mutable sum : float }
+
   type nonrec t = {
     model : model;
-    mutable total : float;
+    running : running;
     mutable casts : int;
     mutable ops : int;
   }
 
-  let create model = { model; total = 0.; casts = 0; ops = 0 }
+  let create model = { model; running = { sum = 0. }; casts = 0; ops = 0 }
   let model c = c.model
 
-  let charge_op c fmt cls =
-    c.total <- c.total +. op c.model fmt cls;
-    c.ops <- c.ops + 1
+  let charge c k =
+    let r = c.running in
+    r.sum <- r.sum +. c.model.table.(k);
+    if k = cast_charge then c.casts <- c.casts + 1 else c.ops <- c.ops + 1
 
-  let charge_cast c =
-    c.total <- c.total +. cast c.model;
-    c.casts <- c.casts + 1
-
-  let charge_approx c cls =
-    c.total <- c.total +. approx c.model cls;
-    c.ops <- c.ops + 1
-
-  let total c = c.total
+  let charge_op c fmt cls = charge c (op_charge fmt cls)
+  let charge_cast c = charge c cast_charge
+  let charge_approx c cls = charge c (approx_charge cls)
+  let total c = c.running.sum
   let casts c = c.casts
   let ops c = c.ops
 
   let reset c =
-    c.total <- 0.;
+    c.running.sum <- 0.;
     c.casts <- 0;
     c.ops <- 0
 end

@@ -43,6 +43,19 @@ val cast : t -> float
 val approx : t -> op_class -> float
 (** Cost of an approximate (FastApprox-style) intrinsic of the class. *)
 
+(** {2 Charges}
+
+    A model is a table with one cost per charge (class x format for
+    plain operations, class for approximate intrinsics, and the cast),
+    computed once by {!make}. A compiler resolves each metered site to
+    its charge ahead of the run; metering is then one table read. *)
+
+type charge
+
+val op_charge : Fp.format -> op_class -> charge
+val approx_charge : op_class -> charge
+val cast_charge : charge
+
 (** Mutable accumulator threaded through an interpreter run. *)
 module Counter : sig
   type model = t
@@ -50,6 +63,11 @@ module Counter : sig
 
   val create : model -> t
   val model : t -> model
+
+  val charge : t -> charge -> unit
+  (** Add the charge's cost to the total (kept unboxed: charging
+      allocates nothing) and count it as a cast or an operation. *)
+
   val charge_op : t -> Fp.format -> op_class -> unit
   val charge_cast : t -> unit
   val charge_approx : t -> op_class -> unit

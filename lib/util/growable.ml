@@ -106,6 +106,19 @@ module Float = struct
     t.len <- t.len - 1;
     t.data.(t.len)
 
+  (* [push_from]/[pop_into] move the value between arrays, so no float
+     crosses a function boundary (where it would be boxed). *)
+  let push_from t src i =
+    ensure t (t.len + 1);
+    t.data.(t.len) <- src.(i);
+    t.len <- t.len + 1;
+    if t.len > t.peak then t.peak <- t.len
+
+  let pop_into t dst i =
+    if t.len = 0 then invalid_arg "Growable.Float.pop: empty";
+    dst.(i) <- t.data.(t.len - 1);
+    t.len <- t.len - 1
+
   let check t i =
     if i < 0 || i >= t.len then
       invalid_arg
@@ -121,4 +134,30 @@ module Float = struct
   let clear t =
     t.len <- 0;
     t.peak <- 0
+end
+
+module Int = struct
+  type t = {
+    mutable data : int array;
+    mutable len : int;
+    mutable peak : int;
+  }
+
+  let create () = { data = Array.make 16 0; len = 0; peak = 0 }
+  let peak_length t = t.peak
+
+  let push t x =
+    if t.len = Array.length t.data then begin
+      let data = Array.make (2 * t.len) 0 in
+      Array.blit t.data 0 data 0 t.len;
+      t.data <- data
+    end;
+    t.data.(t.len) <- x;
+    t.len <- t.len + 1;
+    if t.len > t.peak then t.peak <- t.len
+
+  let pop t =
+    if t.len = 0 then invalid_arg "Growable.Int.pop: empty";
+    t.len <- t.len - 1;
+    t.data.(t.len)
 end

@@ -40,6 +40,15 @@ module Float : sig
   val length : t -> int
   val push : t -> float -> unit
   val pop : t -> float
+
+  val push_from : t -> float array -> int -> unit
+  (** [push_from t a i] pushes [a.(i)]. Unlike [push], no float crosses
+      the call, so nothing is boxed. *)
+
+  val pop_into : t -> float array -> int -> unit
+  (** [pop_into t a i] pops into [a.(i)], unboxed. @raise
+      Invalid_argument if empty. *)
+
   val get : t -> int -> float
   val set : t -> int -> float -> unit
   val top : t -> float
@@ -48,4 +57,17 @@ module Float : sig
   val peak_length : t -> int
   (** High-water mark of [length] since creation or the last [clear]:
       used for deterministic peak-memory accounting of value stacks. *)
+end
+
+(** Monomorphic int stack: no polymorphic array dispatch on push/pop. *)
+module Int : sig
+  type t
+
+  val create : unit -> t
+  val push : t -> int -> unit
+  val pop : t -> int
+  (** @raise Invalid_argument if empty. *)
+
+  val peak_length : t -> int
+  (** High-water mark of [length] since creation. *)
 end

@@ -227,6 +227,86 @@ let test_generated_function_exposed () =
   Alcotest.(check bool) "program contains it" true
     (Ast.find_func (E.program est) "func1_grad" <> None)
 
+(* Two estimates of different programs built on one shared builtins
+   table (as the serve daemon does): each run records into its own sink,
+   so interleaved and concurrent runs, and runs of estimates built
+   concurrently, reproduce the isolated reports. *)
+let test_shared_table_estimates_independent () =
+  let module B = Cheffp_benchmarks in
+  let options = { E.default_options with E.per_variable = true; track_ranges = true } in
+  let cases =
+    [
+      (B.Arclength.program, B.Arclength.func_name, B.Arclength.args ~n:3000);
+      ( B.Kmeans.program,
+        B.Kmeans.func_name,
+        B.Kmeans.args (B.Kmeans.generate ~npoints:300 ()) );
+    ]
+  in
+  let copy = List.map (function
+    | Interp.Afarr a -> Interp.Afarr (Array.copy a)
+    | a -> a)
+  in
+  let key (r : E.report) =
+    let bits = Int64.bits_of_float in
+    ( bits r.E.total_error,
+      List.map (fun (v, e) -> (v, bits e)) r.E.per_variable,
+      List.map (fun (v, (lo, hi)) -> (v, bits lo, bits hi)) r.E.ranges )
+  in
+  let isolated =
+    List.map
+      (fun (prog, func, args) ->
+        key (E.run (E.estimate_error ~options ~prog ~func ()) (copy args)))
+      cases
+  in
+  let builtins = Builtins.create () in
+  let shared =
+    List.map
+      (fun (prog, func, args) ->
+        (E.estimate_error ~options ~builtins ~prog ~func (), args))
+      cases
+  in
+  let expect what got =
+    Alcotest.(check bool) what true (List.map key got = isolated)
+  in
+  for _ = 1 to 2 do
+    expect "interleaved" (List.map (fun (est, args) -> E.run est (copy args)) shared)
+  done;
+  let pool = Cheffp_util.Pool.Shared.create ~workers:2 () in
+  let sub = Cheffp_util.Pool.Shared.add_submitter pool in
+  let futures =
+    List.init 3 (fun _ ->
+        List.map
+          (fun (est, args) ->
+            Cheffp_util.Pool.Shared.submit pool sub (fun () -> E.run est (copy args)))
+          shared)
+  in
+  let results =
+    List.map
+      (List.map (fun fut ->
+           match Cheffp_util.Pool.Shared.await fut with
+           | Ok r -> r
+           | Error e -> raise e))
+      futures
+  in
+  List.iter (expect "concurrent on 2 domains") results;
+  (* Builds race too: each re-registers the [__chef_*] callbacks on the
+     shared table while the other domain compiles against it. *)
+  let builds =
+    List.init 8 (fun i ->
+        let prog, func, args = List.nth cases (i mod 2) in
+        Cheffp_util.Pool.Shared.submit pool sub (fun () ->
+            key (E.run (E.estimate_error ~options ~builtins ~prog ~func ()) (copy args))))
+  in
+  List.iteri
+    (fun i fut ->
+      match Cheffp_util.Pool.Shared.await fut with
+      | Ok k ->
+          Alcotest.(check bool) "built concurrently on 2 domains" true
+            (k = List.nth isolated (i mod 2))
+      | Error e -> raise e)
+    builds;
+  Cheffp_util.Pool.Shared.shutdown pool
+
 (* ------------------------------------------------------------------ *)
 (* Tuner                                                              *)
 
@@ -645,6 +725,8 @@ let () =
             test_memory_accounting_positive;
           Alcotest.test_case "generated exposed" `Quick
             test_generated_function_exposed;
+          Alcotest.test_case "shared table, independent runs" `Quick
+            test_shared_table_estimates_independent;
         ] );
       ( "tuner",
         [

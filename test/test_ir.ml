@@ -490,6 +490,41 @@ let test_builtins_registry () =
     (run_f ~builtins:b "func f(x: f64): f64 { return sin(x); }" "f"
        [ Interp.Aflt 0.5 ])
 
+(* Re-registering a tagged entry with its tag never leaves the name
+   untagged, not even between two table writes: a table shared across
+   domains is re-registered by every estimate build while other domains
+   compile against it, and an untagged read would compile a call with
+   no recording sink behind it. *)
+let test_builtins_reregister_keeps_tag () =
+  let b = Builtins.create () in
+  let sg =
+    { Builtins.args = [ Builtins.Kint; Builtins.Kflt ]; ret = Builtins.Kflt;
+      cls = Cost.Basic; approx = false }
+  in
+  let reg () =
+    Builtins.register ~prim:Builtins.Record_total b "__rec" sg (fun a -> a.(1))
+  in
+  reg ();
+  let stop = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let misses = ref 0 in
+        while not (Atomic.get stop) do
+          if Builtins.prim b "__rec" <> Some Builtins.Record_total then
+            incr misses
+        done;
+        !misses)
+  in
+  for _ = 1 to 200_000 do
+    reg ()
+  done;
+  Atomic.set stop true;
+  Alcotest.(check int) "reader never saw the tag missing" 0
+    (Domain.join reader);
+  Builtins.register b "__rec" sg (fun a -> a.(1));
+  Alcotest.(check bool) "registering untagged clears the tag" true
+    (Builtins.prim b "__rec" = None)
+
 let test_builtins_value_accessors () =
   Alcotest.(check bool) "as_float raises on int" true
     (try ignore (Builtins.as_float (Builtins.I 3)); false
@@ -829,6 +864,57 @@ let test_compile_counter_matches_interp_counter () =
   Alcotest.(check (float 1e-9)) "same modelled cost" ti tc;
   Alcotest.(check int) "same casts" ci cc
 
+(* A replacement registered under a default intrinsic's name must win
+   over the default's unboxed primitive, on every path: interpreter,
+   scalar compiler and lane-batched executor. *)
+let test_compile_honours_reregistered_intrinsic () =
+  let src =
+    {|func f(x: f64, n: int): f64 {
+        var acc: f64 = 0.0;
+        for i in 0 .. n { acc = acc + sin(x - 0.1 * itof(i)) * 0.5; }
+        return acc;
+      }|}
+  in
+  let prog = Parser.parse_program src in
+  let args = [ Interp.Aflt 1.3; Interp.Aint 20 ] in
+  let b = Builtins.create () in
+  Builtins.register_float1 b "sin" Cheffp_fastapprox.Fastapprox.fastsin;
+  let bits = Int64.bits_of_float in
+  let counted run =
+    let counter = Cost.Counter.create Cost.default in
+    let v = run counter in
+    (bits v, Cost.Counter.total counter, Cost.Counter.ops counter,
+     Cost.Counter.casts counter)
+  in
+  let interp =
+    counted (fun counter ->
+        Interp.run_float ~builtins:b ~counter ~prog ~func:"f" args)
+  in
+  let compiled ~meter =
+    counted (fun counter ->
+        Compile.run_float ~counter
+          (Compile.compile ~builtins:b ~meter ~prog ~func:"f" ())
+          args)
+  in
+  let v, _, _, _ = interp in
+  Alcotest.(check bool) "replacement differs from libm sin" true
+    (v <> bits (Interp.run_float ~prog ~func:"f" args));
+  let v', _, _, _ = compiled ~meter:false in
+  Alcotest.(check int64) "unmetered compile = interp" v v';
+  Alcotest.(check bool) "metered compile = interp (value and counter)" true
+    (compiled ~meter:true = interp);
+  let batched ~meter =
+    counted (fun counter ->
+        let counters = if meter then Some [| counter |] else None in
+        (Batch.run_inputs_floats ?counters
+           (Batch.compile ~builtins:b ~meter ~prog ~func:"f" ())
+           ~config:Config.double [| args |]).(0))
+  in
+  let v', _, _, _ = batched ~meter:false in
+  Alcotest.(check int64) "unmetered batch = interp" v v';
+  Alcotest.(check bool) "metered batch = interp (value and counter)" true
+    (batched ~meter:true = interp)
+
 (* ------------------------------------------------------------------ *)
 (* Compile cache                                                      *)
 
@@ -916,6 +1002,62 @@ let test_cache_metered_counter_threading () =
   let t10' = count c1 [ Interp.Aflt 1.7; Interp.Aint 10 ] in
   Alcotest.(check bool) "costs metered per run" true (t10 > 0. && t20 > t10);
   Alcotest.(check (float 1e-9)) "no leakage between runs" t10 t10'
+
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                         *)
+
+(* The compiled executor boxes no float on its hot path, so the minor
+   words a run allocates do not grow with its trip count. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let check_flat name run =
+  run 10;
+  let small = minor_words (fun () -> run 1_000)
+  and large = minor_words (fun () -> run 100_000) in
+  if large -. small > 64. then
+    Alcotest.failf "%s: %.0f minor words at n=1e3, %.0f at n=1e5" name small
+      large
+
+let alloc_src =
+  {|func f(x: f64, n: int): f64 {
+      var acc: f64 = 0.0;
+      var t: f64;
+      for i in 1 .. n + 1 {
+        t = x / itof(i);
+        acc = acc + sqrt(t * t + 1.0) * fabs(sin(t)) - (-t);
+      }
+      return acc;
+    }|}
+
+let test_compile_run_allocation_flat () =
+  let prog = Parser.parse_program alloc_src in
+  List.iter
+    (fun (name, config) ->
+      List.iter
+        (fun meter ->
+          let c = Compile.compile ~config ~meter ~prog ~func:"f" () in
+          let counter = Cost.Counter.create Cost.default in
+          check_flat
+            (Printf.sprintf "%s%s" name (if meter then ", metered" else ""))
+            (fun n ->
+              ignore
+                (Compile.run_float ~counter c [ Interp.Aflt 1.7; Interp.Aint n ])))
+        [ false; true ])
+    [ ("all-F64", Config.double); ("uniform-F32", Config.uniform Fp.F32) ]
+
+let test_estimate_run_allocation_flat () =
+  let module E = Cheffp_core.Estimate in
+  let module A = Cheffp_benchmarks.Arclength in
+  let est =
+    E.estimate_error
+      ~options:
+        { E.default_options with E.per_variable = true; track_ranges = true }
+      ~prog:A.program ~func:A.func_name ()
+  in
+  check_flat "arclength estimate" (fun n -> ignore (E.run est (A.args ~n)))
 
 (* ------------------------------------------------------------------ *)
 (* Normalize / Inline                                                 *)
@@ -1117,6 +1259,8 @@ let () =
       ( "builtins",
         [
           Alcotest.test_case "registry" `Quick test_builtins_registry;
+          Alcotest.test_case "re-register keeps tag" `Quick
+            test_builtins_reregister_keeps_tag;
           Alcotest.test_case "value accessors" `Quick
             test_builtins_value_accessors;
           Alcotest.test_case "compile errors" `Quick test_compile_errors;
@@ -1153,6 +1297,15 @@ let () =
             test_compile_benchmarks_match;
           Alcotest.test_case "cost counters agree" `Quick
             test_compile_counter_matches_interp_counter;
+          Alcotest.test_case "re-registered intrinsic honoured" `Quick
+            test_compile_honours_reregistered_intrinsic;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "compiled run flat in trip count" `Quick
+            test_compile_run_allocation_flat;
+          Alcotest.test_case "estimate run flat in trip count" `Quick
+            test_estimate_run_allocation_flat;
         ] );
       ( "compile-cache",
         [

@@ -76,6 +76,31 @@ let test_growable_float () =
   Alcotest.(check bool) "empty" true (Growable.Float.is_empty g);
   Alcotest.(check int) "peak reset" 0 (Growable.Float.peak_length g)
 
+(* The unboxed moves and the int stack keep the LIFO order and peak
+   accounting of [push]/[pop] across growth. *)
+let test_growable_moves_and_int_stack () =
+  let g = Growable.Float.create () and st = Growable.Int.create () in
+  let src = Array.init 40 (fun i -> float_of_int i +. 0.5) in
+  Array.iteri
+    (fun i _ ->
+      Growable.Float.push_from g src i;
+      Growable.Int.push st i)
+    src;
+  Alcotest.(check int) "float peak" 40 (Growable.Float.peak_length g);
+  Alcotest.(check int) "int peak" 40 (Growable.Int.peak_length st);
+  let dst = Array.make 40 0. in
+  for i = 39 downto 0 do
+    Growable.Float.pop_into g dst i;
+    Alcotest.(check int) "int lifo" i (Growable.Int.pop st)
+  done;
+  Alcotest.(check bool) "float lifo" true (dst = src);
+  Alcotest.check_raises "empty pop_into"
+    (Invalid_argument "Growable.Float.pop: empty") (fun () ->
+      Growable.Float.pop_into g dst 0);
+  Alcotest.check_raises "empty int pop"
+    (Invalid_argument "Growable.Int.pop: empty") (fun () ->
+      ignore (Growable.Int.pop st))
+
 let qcheck_growable_roundtrip =
   QCheck.Test.make ~count:200 ~name:"growable push*/to_list roundtrip"
     QCheck.(list int)
@@ -591,6 +616,8 @@ let () =
           Alcotest.test_case "errors" `Quick test_growable_errors;
           Alcotest.test_case "clear/iter" `Quick test_growable_clear_iter;
           Alcotest.test_case "float variant" `Quick test_growable_float;
+          Alcotest.test_case "unboxed moves, int stack" `Quick
+            test_growable_moves_and_int_stack;
           QCheck_alcotest.to_alcotest qcheck_growable_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_growable_lifo;
         ] );
