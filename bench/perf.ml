@@ -599,14 +599,9 @@ let measure_range_prune w =
     | None ->
         (* Nothing certifies: park the loose regime at twice the
            measured all-demoted error, where both runs must agree. *)
-        let copy =
-          List.map (function
-            | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-            | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
-            | x -> x)
-        in
         let y config =
-          Interp.run_float ~config ~prog:w.prog ~func:w.func (copy w.args)
+          Interp.run_float ~config ~prog:w.prog ~func:w.func
+            (Interp.copy_args w.args)
         in
         let demotion =
           Float.abs
@@ -860,14 +855,6 @@ let dist_scalar_rate r = dist_rate r.d_samples r.d_scalar_s
 let dist_sweep_rate r = dist_rate r.d_samples r.d_sweep_s
 let dist_pool_rate r = dist_rate r.d_samples r.d_pool_s
 
-let deep_copy_args args =
-  List.map
-    (function
-      | Cheffp_ir.Interp.Afarr a -> Cheffp_ir.Interp.Afarr (Array.copy a)
-      | Cheffp_ir.Interp.Aiarr a -> Cheffp_ir.Interp.Aiarr (Array.copy a)
-      | x -> x)
-    args
-
 (* Microsecond kernels (per-option Black-Scholes) make a single pass
    over the samples too short to time against scheduler noise: repeat
    the run until the window reaches [min_elapsed] and report the mean.
@@ -904,7 +891,8 @@ let measure_dist ?(samples = 192) ?(lanes = Cheffp_ir.Batch.default_sweep_lanes)
   let scalar_c = Compile.compile ~config ~prog:w.prog ~func:w.func () in
   let run_scalar () =
     Array.map
-      (fun args -> Compile.run_float scalar_c (deep_copy_args args))
+      (fun args ->
+        Compile.run_float scalar_c (Cheffp_ir.Interp.copy_args args))
       inputs
   in
   let run_sweep jobs () =
@@ -951,7 +939,7 @@ let measure_dist ?(samples = 192) ?(lanes = Cheffp_ir.Batch.default_sweep_lanes)
     Array.for_all
       (fun args ->
         (Oracle.check_estimate ~margin:2.0 ~prog:w.prog ~func:w.func
-           ~config:quantile_config (deep_copy_args args))
+           ~config:quantile_config (Cheffp_ir.Interp.copy_args args))
           .Oracle.sound)
       (Array.sub inputs 0 (min 3 (Array.length inputs)))
   in
@@ -1072,14 +1060,6 @@ let reparse_arg = function
         (Array.map (fun x -> float_of_string (Printf.sprintf "%.17g" x)) a)
   | Cheffp_ir.Interp.Aiarr a -> Cheffp_ir.Interp.Aiarr (Array.copy a)
 
-let copy_args args =
-  List.map
-    (function
-      | Cheffp_ir.Interp.Afarr a -> Cheffp_ir.Interp.Afarr (Array.copy a)
-      | Cheffp_ir.Interp.Aiarr a -> Cheffp_ir.Interp.Aiarr (Array.copy a)
-      | x -> x)
-    args
-
 let search_request ~id w =
   Client.request ~id ~cmd:"search"
     [
@@ -1148,7 +1128,7 @@ let direct_outcome w =
   let measure config =
     Shadow.measured_error
       (Shadow.run ~builtins ~config ~mode:Config.Source ~prog ~func:w.func
-         (copy_args args))
+         (Cheffp_ir.Interp.copy_args args))
   in
   let o =
     Search.tune ~target:Fp.F32 ~builtins ~jobs:1 ~strategy:`Hybrid
@@ -1290,10 +1270,11 @@ let print_server b =
 
 (* ------------------------------------------------------------------ *)
 (* Continuous telemetry (DESIGN.md §14): what the always-on layer costs.
-   Two daemons run the same warm analyze workload — one with telemetry
-   (span recording, tail retention, window ticker), one with
-   --no-telemetry semantics — and the block records the wall-clock
-   delta, best-of-rounds per mode to damp scheduler noise. Analyze
+   Fresh daemons run the same warm analyze workload, alternating
+   --no-telemetry semantics and telemetry on (span recording, tail
+   retention, window ticker) for three daemons per mode, so host drift
+   over the block lands on both modes alike. The block records the
+   wall-clock delta between each mode's best round. Analyze
    requests are the unit: heavy enough to be a real request, light
    enough that per-request telemetry work would register. The block
    also prices a scrape: mean client-observed latency of stats /
@@ -1303,7 +1284,8 @@ let print_server b =
 
 type telemetry_block = {
   tl_requests : int;  (** timed analyze requests per round *)
-  tl_rounds : int;  (** rounds per mode; best round is kept *)
+  tl_turns : int;  (** fresh daemons per mode, alternating with the other *)
+  tl_rounds : int;  (** rounds per mode over its turns; best is kept *)
   tl_enabled_s : float;  (** best-of-rounds wall clock, telemetry on *)
   tl_disabled_s : float;  (** same, telemetry off *)
   tl_stats_us : float;  (** mean stats scrape latency *)
@@ -1330,10 +1312,13 @@ let analyze_request ~id w =
 
 let telemetry_bench ?(workers = 2) ?(rounds = 3) ?(passes = 4)
     ?(workloads = batch_workloads ~small:true ()) () =
+  let turns = 3 in
   Gc.compact ();
   let next_id = Atomic.make 1 in
   let fresh_id () = Atomic.fetch_and_add next_id 1 in
-  let run_mode ~telemetry =
+  (* One daemon's turn: its best of [rounds] timed rounds, and with
+     [scrape] the mid-traffic scrapes (telemetry on only). *)
+  let run_mode ~telemetry ~scrape =
     Compile_cache.clear ();
     Compile_cache.reset_stats ();
     (* A traced earlier bench stage may have left span recording on;
@@ -1363,7 +1348,7 @@ let telemetry_bench ?(workers = 2) ?(rounds = 3) ?(passes = 4)
       if s < !best then best := s
     done;
     let scrapes =
-      if not telemetry then None
+      if not scrape then None
       else begin
         (* Scrape while a second connection keeps traffic flowing. *)
         let stop = Atomic.make false in
@@ -1440,8 +1425,16 @@ let telemetry_bench ?(workers = 2) ?(rounds = 3) ?(passes = 4)
     Thread.join accept;
     (!best, scrapes)
   in
-  let disabled_s, _ = run_mode ~telemetry:false in
-  let enabled_s, scrapes = run_mode ~telemetry:true in
+  let rec alternate turn disabled_s enabled_s =
+    let d, _ = run_mode ~telemetry:false ~scrape:false in
+    let last = turn >= turns in
+    let e, scrapes = run_mode ~telemetry:true ~scrape:last in
+    let disabled_s = Float.min disabled_s d
+    and enabled_s = Float.min enabled_s e in
+    if last then (disabled_s, enabled_s, scrapes)
+    else alternate (turn + 1) disabled_s enabled_s
+  in
+  let disabled_s, enabled_s, scrapes = alternate 1 infinity infinity in
   (* The telemetry-on daemon turns span recording on; later stages (the
      disabled-path probe in [write_json]) need it off again. *)
   Cheffp_obs.Trace.set_enabled false;
@@ -1452,7 +1445,8 @@ let telemetry_bench ?(workers = 2) ?(rounds = 3) ?(passes = 4)
   in
   {
     tl_requests = passes * List.length workloads;
-    tl_rounds = rounds;
+    tl_turns = turns;
+    tl_rounds = turns * rounds;
     tl_enabled_s = enabled_s;
     tl_disabled_s = disabled_s;
     tl_stats_us = stats_us;
@@ -1464,9 +1458,10 @@ let telemetry_bench ?(workers = 2) ?(rounds = 3) ?(passes = 4)
 
 let print_telemetry b =
   Printf.printf
-    "telemetry: %d warm analyze requests/round (best of %d): enabled %.3f \
-     s, disabled %.3f s (delta %+.2f%%)\n"
-    b.tl_requests b.tl_rounds b.tl_enabled_s b.tl_disabled_s
+    "telemetry: %d warm analyze requests/round (best of %d over %d \
+     alternating daemons per mode): enabled %.3f s, disabled %.3f s \
+     (delta %+.2f%%)\n"
+    b.tl_requests b.tl_rounds b.tl_turns b.tl_enabled_s b.tl_disabled_s
     (telemetry_delta_pct b);
   Printf.printf
     "scrape cost mid-traffic: stats %.0f us, prometheus %.0f us (%d \
@@ -1762,11 +1757,13 @@ let write_json ~path ~soundness ~batch ~model ~dist ~server ~telemetry ~fpcore
   pf "  },\n";
   pf "  \"telemetry\": {\n";
   pf "    \"description\": \"continuous telemetry cost (DESIGN.md \
-      S14): same warm analyze workload through a telemetry-on and a \
-      --no-telemetry daemon (best-of-rounds wall clock), plus the \
+      S14): same warm analyze workload through alternating fresh \
+      --no-telemetry and telemetry-on daemons (best-of-rounds wall \
+      clock per mode), plus the \
       client-observed cost of stats / Prometheus / traces scrapes \
       issued while requests flow on a second connection\",\n";
   pf "    \"requests_per_round\": %d,\n" telemetry.tl_requests;
+  pf "    \"daemons_per_mode\": %d,\n" telemetry.tl_turns;
   pf "    \"rounds_per_mode\": %d,\n" telemetry.tl_rounds;
   pf "    \"seconds_enabled\": %.6f,\n" telemetry.tl_enabled_s;
   pf "    \"seconds_disabled\": %.6f,\n" telemetry.tl_disabled_s;

@@ -608,14 +608,6 @@ let tune_cmd =
            $ no_batch_arg $ samples_arg $ dist_arg $ seed_arg $ obs_term
            $ rest_args))
 
-let copy_args args =
-  List.map
-    (function
-      | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-      | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
-      | (Interp.Aint _ | Interp.Aflt _) as x -> x)
-    args
-
 let search_cmd =
   let run file func threshold target strategy prune_margin format jobs batch
       no_batch samples dist seed target_quantile range obs raw =
@@ -631,7 +623,7 @@ let search_cmd =
         let measure config =
           Cheffp_shadow.Shadow.measured_error
             (Cheffp_shadow.Shadow.run ~builtins:(builtins ()) ~config
-               ~mode:Config.Source ~prog ~func (copy_args args))
+               ~mode:Config.Source ~prog ~func (Interp.copy_args args))
         in
         let sampling =
           if samples > 0 then begin

@@ -63,15 +63,7 @@ let build ?deriv ?builtins ~prog ~func ~args () =
   in
   (* The analyzed function may mutate array arguments; profile building
      must not. *)
-  let args =
-    List.map
-      (function
-        | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-        | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
-        | (Interp.Aint _ | Interp.Aflt _) as x -> x)
-      args
-  in
-  let report = Estimate.run est args in
+  let report = Estimate.run est (Interp.copy_args args) in
   let atoms =
     List.sort
       (fun (_, a) (_, b) -> compare b a)

@@ -143,17 +143,24 @@ let quantile t q =
     !res
   end
 
+(* The nearest rank of the q-quantile of n values: the 1-based
+   position ⌈q·n⌉, clamped to [1, n]. *)
+let rank n q = max 1 (min n (int_of_float (ceil (q *. float_of_int n))))
+
 let quantile_of_array xs q =
   if Array.length xs = 0 then Float.nan
   else begin
     let s = Array.copy xs in
     Array.sort fcompare s;
-    let n = Array.length s in
     if q < 0. || q > 1. then invalid_arg "Quantile.quantile_of_array";
     (* Same nearest-rank convention as [quantile] on an exact summary. *)
-    let rank = int_of_float (ceil (q *. float_of_int n)) in
-    s.(max 0 (min (n - 1) (rank - 1)))
+    s.(rank (Array.length s) q - 1)
   end
+
+(* The values strictly above a threshold sort last, so the q-quantile
+   (rank r) exceeds the threshold exactly when at least n - r + 1 of the
+   n values do. *)
+let settle_count n q = n - rank n q + 1
 
 let min_value t = if t.count = 0 then Float.nan else t.vmin
 let max_value t = if t.count = 0 then Float.nan else t.vmax

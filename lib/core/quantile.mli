@@ -50,6 +50,14 @@ val quantile_of_array : float array -> float -> float
     modified). Agrees with {!quantile} on an uncompressed accumulator
     of the same values. NaN on empty. *)
 
+val settle_count : int -> float -> int
+(** [settle_count n q] is [n - r + 1], where [r = ⌈q·n⌉] clamped to
+    [[1, n]] is the nearest rank {!quantile_of_array} reads: the
+    q-quantile of [n] values exceeds a threshold exactly when at least
+    that many of the values lie strictly above it. Any subset of the
+    values that already holds that many settles the question, whatever
+    the rest are; NaN never counts, since it sorts lowest. [n >= 1]. *)
+
 val min_value : t -> float
 val max_value : t -> float
 val mean : t -> float

@@ -38,14 +38,6 @@ type sampling = { inputs : Interp.arg list array; quantile : float }
 let runs_avoided_c = Metrics.counter "search.runs_avoided"
 let pruned_c = Metrics.counter "search.pruned_total"
 
-let copy_args args =
-  List.map
-    (function
-      | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-      | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
-      | (Interp.Aint _ | Interp.Aflt _) as x -> x)
-    args
-
 let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
     ?measure ?(strategy = `Hybrid) ?(prune_margin = 64.) ?prune_bound ~prog
     ~func ~args ~threshold () =
@@ -126,7 +118,8 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
     let compiled =
       Compile_cache.compile ?builtins ?mode ~meter:true ~config ~prog ~func ()
     in
-    Trace.with_span "run" (fun () -> Compile.run_float compiled (copy_args args))
+    Trace.with_span "run" (fun () ->
+        Compile.run_float compiled (Interp.copy_args args))
   in
   let candidates = Tuner.float_variables (Ast.func_exn prog func) in
   let chosen =
@@ -172,8 +165,8 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
            once and shared across every candidate. In both modes one
            candidate evaluation counts one [execution] (set units, so
            the hybrid-vs-measured accounting is mode-independent);
-           sampled evaluations additionally count their lane sweeps in
-           [batched_runs]. *)
+           sampled evaluations additionally count the lane sweeps they
+           ran in [batched_runs]. *)
         let point_reference =
           match sampling with
           | None ->
@@ -201,23 +194,66 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
                 Compile_cache.compile ?builtins ?mode ~meter:true ~config
                   ~prog ~func ()
               in
-              let sweep config =
+              let nchunks = (nsamp + lanes - 1) / lanes in
+              let need = Quantile.settle_count nsamp s.quantile in
+              (* The one chunk loop, for the reference and every
+                 candidate alike: [config] runs over the inputs in input
+                 order, one [lanes]-wide sweep per chunk, [jobs] chunks
+                 per wave. Alone it yields the values. Against a
+                 [reference] it yields the |deviations| and stops after
+                 the first wave that puts [need] of them strictly above
+                 the threshold, where the quantile must exceed it too.
+                 The inputs it never ran keep a NaN error, which sorts
+                 lowest, so the quantile of what it returns is exact
+                 when every chunk ran and a lower bound above the
+                 threshold when it settled. A failing candidate's error
+                 is only ever compared with the threshold, so settling
+                 changes no decision, only the sweeps spent. *)
+              let sweep ?reference config =
                 Atomic.incr executions;
-                ignore
-                  (Atomic.fetch_and_add batched_runs
-                     ((nsamp + lanes - 1) / lanes));
-                Batch.run_inputs_many ~jobs ~lanes ~fallback b ~config
-                  s.inputs
+                let out = Array.make nsamp Float.nan in
+                let above = ref 0 in
+                let run_chunk c =
+                  let lo = c * lanes in
+                  ( lo,
+                    Batch.run_inputs_floats ~fallback b ~config
+                      (Array.sub s.inputs lo (min lanes (nsamp - lo))) )
+                in
+                let rec wave first =
+                  let chunks =
+                    List.init (min (max 1 jobs) (nchunks - first)) (( + ) first)
+                  in
+                  Pool.parallel_map ~jobs run_chunk chunks
+                  |> List.iter (fun (lo, vals) ->
+                         Array.iteri
+                           (fun i v ->
+                             out.(lo + i) <-
+                               (match reference with
+                               | None -> v
+                               | Some r ->
+                                   let e = Float.abs (v -. r.(lo + i)) in
+                                   if e > threshold then incr above;
+                                   e))
+                           vals);
+                  let next = first + List.length chunks in
+                  if !above >= need then (next, true)
+                  else if next < nchunks then wave next
+                  else (next, false)
+                in
+                let sweeps, settled = wave 0 in
+                ignore (Atomic.fetch_and_add batched_runs sweeps);
+                (out, sweeps, settled)
               in
-              let reference =
+              let reference, _, _ =
                 Trace.with_span "search.reference" (fun () ->
                     sweep Config.double)
               in
               fun config ->
-                let vals = sweep config in
-                let errs =
-                  Array.map2 (fun v r -> Float.abs (v -. r)) vals reference
-                in
+                let errs, sweeps, settled = sweep ~reference config in
+                if Trace.enabled () then begin
+                  Trace.add_attr "sweeps" (Trace.Int sweeps);
+                  Trace.add_attr "settled" (Trace.Bool settled)
+                end;
                 Quantile.quantile_of_array errs s.quantile
         in
         (* Per-candidate spans carry the probed variable set and its
@@ -244,10 +280,9 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
         let errors_of_sets sets =
           match (sampling, batch) with
           | Some _, _ ->
-              (* Sampled mode: each set is already a [jobs]-wide lane
-                 sweep over the inputs axis, so sets evaluate in
-                 sequence — parallelism lives inside the sweep, not
-                 across sets. *)
+              (* Sampled mode: each set already runs its input chunks
+                 in [jobs]-wide waves, so sets evaluate in sequence —
+                 parallelism lives inside the sweep, not across sets. *)
               List.map (fun vars -> error_of vars) sets
           | None, Some lanes when lanes > 1 && List.length sets > 1 ->
               let n = List.length sets in

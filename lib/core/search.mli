@@ -63,8 +63,10 @@ type outcome = {
           number is comparable across [batch] settings (and to
           Precimonious-style cost accounting) *)
   batched_runs : int;
-      (** lane sweeps executed when [batch] was set ([0] otherwise);
-          each replaced up to K entries of [executions] *)
+      (** lane sweeps actually run: with [batch] set, each replaced up
+          to K entries of [executions]; with [sampling], one per chunk
+          of inputs a candidate ran before it settled, so the count
+          depends on the lane width and [jobs]. [0] otherwise *)
   runs_avoided : int;
       (** candidate executions the error-atom profile predicted away
           ([0] under [`Measured]; the whole candidate space under
@@ -195,19 +197,30 @@ val tune :
     once, shared across all candidates), and each candidate's error is
     the [sampling.quantile] of its per-sample |deviation| — evaluated
     through the batched {e input-sweep} axis
-    ({!Cheffp_ir.Batch.run_inputs_many}, lane width from [batch] when
-    [>= 2], else the default), fanned over [jobs] domains. A
+    ({!Cheffp_ir.Batch.run_inputs}), chunk by chunk in input order, in
+    waves of [jobs] chunks fanned over domains. The lane width is
+    [batch] when it is [>= 2], else {!Cheffp_ir.Batch.default_lanes}
+    (8) — not the 64-lane {!Cheffp_ir.Batch.default_sweep_lanes}. A
     configuration that is fine at the box midpoint but violates the
     threshold in a tail now fails its accept, so the chosen demotion
     set can legitimately differ from single-point tuning (the
     [@dist-smoke] bench asserts it does on at least one workload).
-    Accounting stays in set units — one candidate evaluation is one
-    [execution] regardless of sample count, so the
-    [`Hybrid]-vs-[`Measured] invariant is mode-independent, and lane
-    sweeps land in [batched_runs] (⌈samples/lanes⌉ per evaluation).
-    [`Modelled] ignores [sampling] (its scores come from the one
-    profiled point). [Invalid_argument] on an empty [inputs] or a
-    quantile outside [0, 1].
+
+    A failing candidate costs only the sweeps until it settles: once
+    {!Quantile.settle_count} of its errors lie strictly above
+    [threshold], its quantile must exceed it too, and its remaining
+    chunks are skipped (for p99 over 64 samples, the first error above
+    the threshold settles it). A candidate that never settles runs
+    every chunk and keeps its exact quantile; a settled one reports a
+    lower bound above the threshold. The search compares a failing
+    candidate's error only with [threshold], so the outcome is the
+    same as evaluating every input, for every [batch] and [jobs];
+    only [batched_runs] depends on them. Accounting stays in set
+    units — one candidate evaluation is one [execution] regardless of
+    sample count, so the [`Hybrid]-vs-[`Measured] invariant is
+    mode-independent. [`Modelled] ignores [sampling] (its scores come
+    from the one profiled point). [Invalid_argument] on an empty
+    [inputs] or a quantile outside [0, 1].
 
     [measure], when given, is called once with the chosen configuration
     (not counted in [executions]); `Cheffp_shadow` lives above this
@@ -226,7 +239,12 @@ val tune :
     configurations revisited across the run compile once.
 
     Observability: the [search.tune] span carries [strategy] and
-    [runs_avoided] attributes; model-scoring phases record
+    [runs_avoided] attributes; each candidate's [search.candidate]
+    span carries its [vars] and [error], and in sampled mode also
+    [sweeps] (chunks run) and [settled] (whether enough errors lay
+    above the threshold to decide it; a settled candidate's [error] is
+    a lower bound above the threshold, not its quantile); model-scoring
+    phases record
     [search.model_score] spans (with [scored]/[cut] counts); avoided
     runs accumulate in the [search.runs_avoided] counter; the profile
     build/fetch traces as {!Profile.build} documents. *)

@@ -36,16 +36,6 @@ let float_variables f =
   List.iter stmt f.body;
   params @ List.rev !locals
 
-(* The function under test may mutate its array arguments; every
-   configuration gets fresh copies so runs are independent. *)
-let copy_args args =
-  List.map
-    (function
-      | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-      | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
-      | (Interp.Aint _ | Interp.Aflt _) as x -> x)
-    args
-
 let run_with ?builtins ?mode ~prog ~func ~args config =
   (* Metered compilation through the cache; the counter is threaded
      per run, so the cached instance is shared across configurations,
@@ -58,7 +48,7 @@ let run_with ?builtins ?mode ~prog ~func ~args config =
     Trace.with_span "run" (fun () ->
         if Trace.enabled () then
           Trace.add_attr "config" (Trace.Str (Config.to_string config));
-        Compile.run_float ~counter compiled (copy_args args))
+        Compile.run_float ~counter compiled (Interp.copy_args args))
   in
   (value, Cost.Counter.total counter, Cost.Counter.casts counter)
 

@@ -341,128 +341,124 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
            matching the scalar compiler. *)
         { ev; fid = a.fid }
     | Unop (Not, _) -> fail "logical not yields an int"
-    | Binop ((Add | Sub | Mul | Div) as op, a, b) -> (
-        match Typecheck.expr_kind ~builtins prog (lookup_ty sc) e with
-        | exception Typecheck.Error m -> fail "%s" m
-        | Typecheck.Escalar Builtins.Kint ->
-            fail "integer expression used as float: %s" (Pp.expr_to_string e)
-        | _ ->
-            let xa = cf a and xb = cf b in
-            let s = fresh_scratch () in
-            let fid =
-              match mode with
-              | Config.Source -> rule (Rwider (xa.fid, xb.fid))
-              | Config.Extended -> rule (Rfix Fp.F64)
-            in
-            if meter then
-              let cls =
-                match op with Div -> Cost.Division | _ -> Cost.Basic
-              in
-              let apply : float -> float -> float =
-                match op with
-                | Add -> ( +. )
-                | Sub -> ( -. )
-                | Mul -> ( *. )
-                | Div -> ( /. )
-                | _ -> assert false
-              in
-              let raw benv dst =
+    | Binop ((Add | Sub | Mul | Div) as op, a, b) ->
+        (* An int operand fails in [cf] itself. *)
+        let xa = cf a and xb = cf b in
+        let s = fresh_scratch () in
+        let fid =
+          match mode with
+          | Config.Source -> rule (Rwider (xa.fid, xb.fid))
+          | Config.Extended -> rule (Rfix Fp.F64)
+        in
+        if meter then
+          let cls =
+            match op with Div -> Cost.Division | _ -> Cost.Basic
+          in
+          let apply : float -> float -> float =
+            match op with
+            | Add -> ( +. )
+            | Sub -> ( -. )
+            | Mul -> ( *. )
+            | Div -> ( /. )
+            | _ -> assert false
+          in
+          let raw benv dst =
+            let va = xa.ev benv and vb = xb.ev benv in
+            let fa = benv.efmt.(xa.fid) and fb = benv.efmt.(xb.fid) in
+            let fmts = benv.efmt.(fid) in
+            for l = 0 to benv.k - 1 do
+              let c = benv.counters.(l) in
+              Cost.Counter.charge_op c fmts.(l) cls;
+              if not (Fp.equal_format fa.(l) fb.(l)) then
+                Cost.Counter.charge_cast c;
+              dst.(l) <- apply va.(l) vb.(l)
+            done
+          in
+          rounded fid s raw
+        else
+          (* Unmetered hot path: one specialised unboxed loop per
+             operator, rounding fused into the store. *)
+          let ev =
+            match (op, mode) with
+            | Add, Config.Source -> fun benv ->
                 let va = xa.ev benv and vb = xb.ev benv in
-                let fa = benv.efmt.(xa.fid) and fb = benv.efmt.(xb.fid) in
+                let dst = benv.scratch.(s) in
                 let fmts = benv.efmt.(fid) in
                 for l = 0 to benv.k - 1 do
-                  let c = benv.counters.(l) in
-                  Cost.Counter.charge_op c fmts.(l) cls;
-                  if not (Fp.equal_format fa.(l) fb.(l)) then
-                    Cost.Counter.charge_cast c;
-                  dst.(l) <- apply va.(l) vb.(l)
-                done
-              in
-              rounded fid s raw
-            else
-              (* Unmetered hot path: one specialised unboxed loop per
-                 operator, rounding fused into the store. *)
-              let ev =
-                match (op, mode) with
-                | Add, Config.Source -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    let fmts = benv.efmt.(fid) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <-
-                        (match fmts.(l) with
-                        | Fp.F64 -> va.(l) +. vb.(l)
-                        | Fp.F32 -> r32 (va.(l) +. vb.(l))
-                        | Fp.F16 -> r16 (va.(l) +. vb.(l)))
-                    done;
-                    dst
-                | Sub, Config.Source -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    let fmts = benv.efmt.(fid) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <-
-                        (match fmts.(l) with
-                        | Fp.F64 -> va.(l) -. vb.(l)
-                        | Fp.F32 -> r32 (va.(l) -. vb.(l))
-                        | Fp.F16 -> r16 (va.(l) -. vb.(l)))
-                    done;
-                    dst
-                | Mul, Config.Source -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    let fmts = benv.efmt.(fid) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <-
-                        (match fmts.(l) with
-                        | Fp.F64 -> va.(l) *. vb.(l)
-                        | Fp.F32 -> r32 (va.(l) *. vb.(l))
-                        | Fp.F16 -> r16 (va.(l) *. vb.(l)))
-                    done;
-                    dst
-                | Div, Config.Source -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    let fmts = benv.efmt.(fid) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <-
-                        (match fmts.(l) with
-                        | Fp.F64 -> va.(l) /. vb.(l)
-                        | Fp.F32 -> r32 (va.(l) /. vb.(l))
-                        | Fp.F16 -> r16 (va.(l) /. vb.(l)))
-                    done;
-                    dst
-                | Add, Config.Extended -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <- va.(l) +. vb.(l)
-                    done;
-                    dst
-                | Sub, Config.Extended -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <- va.(l) -. vb.(l)
-                    done;
-                    dst
-                | Mul, Config.Extended -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <- va.(l) *. vb.(l)
-                    done;
-                    dst
-                | Div, Config.Extended -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <- va.(l) /. vb.(l)
-                    done;
-                    dst
-                | _ -> assert false
-              in
-              { ev; fid })
+                  dst.(l) <-
+                    (match fmts.(l) with
+                    | Fp.F64 -> va.(l) +. vb.(l)
+                    | Fp.F32 -> r32 (va.(l) +. vb.(l))
+                    | Fp.F16 -> r16 (va.(l) +. vb.(l)))
+                done;
+                dst
+            | Sub, Config.Source -> fun benv ->
+                let va = xa.ev benv and vb = xb.ev benv in
+                let dst = benv.scratch.(s) in
+                let fmts = benv.efmt.(fid) in
+                for l = 0 to benv.k - 1 do
+                  dst.(l) <-
+                    (match fmts.(l) with
+                    | Fp.F64 -> va.(l) -. vb.(l)
+                    | Fp.F32 -> r32 (va.(l) -. vb.(l))
+                    | Fp.F16 -> r16 (va.(l) -. vb.(l)))
+                done;
+                dst
+            | Mul, Config.Source -> fun benv ->
+                let va = xa.ev benv and vb = xb.ev benv in
+                let dst = benv.scratch.(s) in
+                let fmts = benv.efmt.(fid) in
+                for l = 0 to benv.k - 1 do
+                  dst.(l) <-
+                    (match fmts.(l) with
+                    | Fp.F64 -> va.(l) *. vb.(l)
+                    | Fp.F32 -> r32 (va.(l) *. vb.(l))
+                    | Fp.F16 -> r16 (va.(l) *. vb.(l)))
+                done;
+                dst
+            | Div, Config.Source -> fun benv ->
+                let va = xa.ev benv and vb = xb.ev benv in
+                let dst = benv.scratch.(s) in
+                let fmts = benv.efmt.(fid) in
+                for l = 0 to benv.k - 1 do
+                  dst.(l) <-
+                    (match fmts.(l) with
+                    | Fp.F64 -> va.(l) /. vb.(l)
+                    | Fp.F32 -> r32 (va.(l) /. vb.(l))
+                    | Fp.F16 -> r16 (va.(l) /. vb.(l)))
+                done;
+                dst
+            | Add, Config.Extended -> fun benv ->
+                let va = xa.ev benv and vb = xb.ev benv in
+                let dst = benv.scratch.(s) in
+                for l = 0 to benv.k - 1 do
+                  dst.(l) <- va.(l) +. vb.(l)
+                done;
+                dst
+            | Sub, Config.Extended -> fun benv ->
+                let va = xa.ev benv and vb = xb.ev benv in
+                let dst = benv.scratch.(s) in
+                for l = 0 to benv.k - 1 do
+                  dst.(l) <- va.(l) -. vb.(l)
+                done;
+                dst
+            | Mul, Config.Extended -> fun benv ->
+                let va = xa.ev benv and vb = xb.ev benv in
+                let dst = benv.scratch.(s) in
+                for l = 0 to benv.k - 1 do
+                  dst.(l) <- va.(l) *. vb.(l)
+                done;
+                dst
+            | Div, Config.Extended -> fun benv ->
+                let va = xa.ev benv and vb = xb.ev benv in
+                let dst = benv.scratch.(s) in
+                for l = 0 to benv.k - 1 do
+                  dst.(l) <- va.(l) /. vb.(l)
+                done;
+                dst
+            | _ -> assert false
+          in
+          { ev; fid }
     | Binop _ ->
         fail "integer expression used as float: %s" (Pp.expr_to_string e)
     | Call (name, args) -> (
@@ -473,15 +469,21 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
               fail "intrinsic %S yields an int, used as float" name;
             compile_call name sg impl args)
 
+  (* An intrinsic's arguments lowered by the kinds of its signature,
+     with the arity checked first, as {!Compile} does. *)
+  and call_args name sg args =
+    if List.compare_lengths sg.Builtins.args args <> 0 then
+      fail "intrinsic %S expects %d arguments, got %d" name
+        (List.length sg.Builtins.args) (List.length args);
+    List.map2
+      (fun k arg ->
+        match k with
+        | Builtins.Kflt -> `F (cf arg)
+        | Builtins.Kint -> `I (ci arg))
+      sg.Builtins.args args
+
   and compile_call name sg impl args : fex =
-    let compiled =
-      List.map2
-        (fun k arg ->
-          match k with
-          | Builtins.Kflt -> `F (cf arg)
-          | Builtins.Kint -> `I (ci arg))
-        sg.Builtins.args args
-    in
+    let compiled = call_args name sg args in
     let float_fids =
       List.filter_map (function `F x -> Some x.fid | `I _ -> None) compiled
     in
@@ -646,14 +648,7 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
         | Some (sg, impl) ->
             if sg.Builtins.ret <> Builtins.Kint then
               fail "intrinsic %S yields a float, used as int" name;
-            let compiled =
-              List.map2
-                (fun k arg ->
-                  match k with
-                  | Builtins.Kflt -> `F (cf arg)
-                  | Builtins.Kint -> `I (ci arg))
-                sg.Builtins.args args
-            in
+            let compiled = call_args name sg args in
             let getters = Array.of_list compiled in
             let has_float =
               List.exists (function `F _ -> true | `I _ -> false) compiled
@@ -1050,14 +1045,6 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
 
 type result = { lanes : Interp.result array; divergences : int }
 
-let copy_args args =
-  List.map
-    (function
-      | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-      | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
-      | (Interp.Aint _ | Interp.Aflt _) as x -> x)
-    args
-
 (* Per-lane storage formats of every float slot, then the format of
    every float expression node by folding the rule DAG (children were
    emitted before parents). [config_of] gives each lane's
@@ -1226,7 +1213,8 @@ let run ?counters ?fallback t ~configs args =
     t.param_bindings args;
   let fallback = match fallback with Some f -> f | None -> default_fallback t in
   execute t benv ~counters ~fallback_run:(fun l ->
-      Compile.run ~counter:counters.(l) (fallback configs.(l)) (copy_args args))
+      Compile.run ~counter:counters.(l) (fallback configs.(l))
+        (Interp.copy_args args))
 
 (* ------------------------------------------------------------------ *)
 (* Input-sweep axis: K sampled argument vectors under ONE
@@ -1345,7 +1333,7 @@ let run_inputs ?counters ?fallback t ~config (inputs : Interp.arg list array) =
   let scalar = lazy (fallback config) in
   execute t benv ~counters ~fallback_run:(fun l ->
       Compile.run ~counter:counters.(l) (Lazy.force scalar)
-        (copy_args inputs.(l)))
+        (Interp.copy_args inputs.(l)))
 
 let run_inputs_floats ?counters ?fallback t ~config inputs =
   let r = run_inputs ?counters ?fallback t ~config inputs in

@@ -14,6 +14,14 @@ type arg =
   | Afarr of float array
   | Aiarr of int array
 
+let copy_args args =
+  List.map
+    (function
+      | Afarr a -> Afarr (Array.copy a)
+      | Aiarr a -> Aiarr (Array.copy a)
+      | (Aint _ | Aflt _) as x -> x)
+    args
+
 type result = {
   ret : Builtins.value option;
   outs : (string * Builtins.value) list;

@@ -17,6 +17,11 @@ type arg =
   | Afarr of float array  (** shared with the callee: mutated in place *)
   | Aiarr of int array
 
+val copy_args : arg list -> arg list
+(** Fresh copies of the array arguments (scalars are shared): a run may
+    mutate its array arguments in place, so every run that must not see
+    another's writes gets its own copy. *)
+
 type result = {
   ret : Builtins.value option;
   outs : (string * Builtins.value) list;

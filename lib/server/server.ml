@@ -92,14 +92,6 @@ let parse_config demote =
       | _ -> failwith ("bad demotion spec " ^ spec ^ " (expected var:fmt)"))
     Config.double demote
 
-let copy_args args =
-  List.map
-    (function
-      | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-      | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
-      | (Interp.Aint _ | Interp.Aflt _) as x -> x)
-    args
-
 let batch_of (req : Protocol.request) =
   if req.no_batch || req.batch < 2 then None else Some req.batch
 
@@ -254,7 +246,7 @@ let handle_search t (req : Protocol.request) =
   let measure config =
     Shadow.measured_error
       (Shadow.run ~builtins:t.builtins ~config ~mode:Config.Source ~prog
-         ~func:req.func (copy_args args))
+         ~func:req.func (Interp.copy_args args))
   in
   let sampling =
     if req.samples > 0 then begin

@@ -24,14 +24,6 @@ type verdict = {
   branch_divergence : bool;
 }
 
-let copy_args args =
-  List.map
-    (function
-      | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-      | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
-      | (Interp.Aint _ | Interp.Aflt _) as x -> x)
-    args
-
 (* Every float variable of [func] with its declared scalar type, in
    declaration order: parameters first, then locals from a recursive
    walk of the body (first declaration of a name wins). *)
@@ -103,7 +95,7 @@ let check_estimate ?builtins ?dd_builtins ?(mode = Config.Extended)
   let demoted = effective_demotions ~config ~func:f in
   let shadow cfg =
     Shadow.run ?builtins ?dd_builtins ~config:cfg ~mode ?fuel ~prog ~func
-      (copy_args args)
+      (Interp.copy_args args)
   in
   let configured = shadow config in
   let reference = shadow Config.double in
@@ -135,7 +127,7 @@ let check_estimate ?builtins ?dd_builtins ?(mode = Config.Extended)
           Estimate.estimate_error ~model:(Model.adapt ~target:fmt ()) ?builtins
             ~prog ~func ()
         in
-        let report = Estimate.run est (copy_args args) in
+        let report = Estimate.run est (Interp.copy_args args) in
         List.fold_left
           (fun a n ->
             a
@@ -149,7 +141,7 @@ let check_estimate ?builtins ?dd_builtins ?(mode = Config.Extended)
       Estimate.estimate_error ~model:(Model.taylor ~target:Fp.F64 ()) ?builtins
         ~prog ~func ()
     in
-    (Estimate.run est (copy_args args)).Estimate.total_error
+    (Estimate.run est (Interp.copy_args args)).Estimate.total_error
   in
   let baseline_error = Float.max baseline_estimate inherent_error in
   let bound = (margin *. modelled_error) +. baseline_error in

@@ -37,12 +37,7 @@ let check_lanes ?(meter = false) ~prog ~func configs args =
         scalar_result ~prog ~func
           ?counter:(if meter then Some scounter else None)
           config
-          (List.map
-             (function
-               | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-               | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
-               | x -> x)
-             args)
+          (Interp.copy_args args)
       in
       Alcotest.(check bool)
         (Printf.sprintf "lane %d result bit-identical" l)
@@ -411,6 +406,34 @@ let fuzz_batch_bit_identity =
           let r = Batch.run b ~configs args in
           Array.for_all2 (fun lane s -> lane = s) r.Batch.lanes scalar)
 
+(* Programs that skip the typechecker: [Batch.compile] rejects each one
+   with [Compile.Compile_error], as [Compile.compile] does — an int
+   operand of float arithmetic, and intrinsic calls of the wrong arity
+   on both the float and the int side. *)
+let test_malformed () =
+  List.iter
+    (fun (name, src) ->
+      let prog = Parser.parse_program src in
+      let rejects compile =
+        match compile () with
+        | exception Compile.Compile_error _ -> true
+        | _ -> false
+      in
+      Alcotest.(check bool)
+        (name ^ ": Compile rejects") true
+        (rejects (fun () -> ignore (Compile.compile ~prog ~func:"f" ())));
+      Alcotest.(check bool)
+        (name ^ ": Batch rejects") true
+        (rejects (fun () -> ignore (Batch.compile ~prog ~func:"f" ()))))
+    [
+      ( "int operand",
+        "func f(x: f64, n: int): f64 { var y: f64 = x * n; return y; }" );
+      ( "float arity",
+        "func f(x: f64): f64 { var y: f64 = sqrt(x, x); return y; }" );
+      ( "int arity",
+        "func f(x: f64): int { var k: int = ftoi(x, x); return k; }" );
+    ]
+
 let () =
   Alcotest.run "batch"
     [
@@ -432,6 +455,7 @@ let () =
             test_evaluate_many;
           Alcotest.test_case "batched search = scalar search" `Quick
             test_search_batched;
+          Alcotest.test_case "malformed programs" `Quick test_malformed;
         ] );
       ( "fuzz",
         [ QCheck_alcotest.to_alcotest fuzz_batch_bit_identity ] );

@@ -242,10 +242,6 @@ let test_shared_table_estimates_independent () =
         B.Kmeans.args (B.Kmeans.generate ~npoints:300 ()) );
     ]
   in
-  let copy = List.map (function
-    | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-    | a -> a)
-  in
   let key (r : E.report) =
     let bits = Int64.bits_of_float in
     ( bits r.E.total_error,
@@ -255,7 +251,9 @@ let test_shared_table_estimates_independent () =
   let isolated =
     List.map
       (fun (prog, func, args) ->
-        key (E.run (E.estimate_error ~options ~prog ~func ()) (copy args)))
+        key
+          (E.run (E.estimate_error ~options ~prog ~func ())
+             (Interp.copy_args args)))
       cases
   in
   let builtins = Builtins.create () in
@@ -269,7 +267,8 @@ let test_shared_table_estimates_independent () =
     Alcotest.(check bool) what true (List.map key got = isolated)
   in
   for _ = 1 to 2 do
-    expect "interleaved" (List.map (fun (est, args) -> E.run est (copy args)) shared)
+    expect "interleaved"
+      (List.map (fun (est, args) -> E.run est (Interp.copy_args args)) shared)
   done;
   let pool = Cheffp_util.Pool.Shared.create ~workers:2 () in
   let sub = Cheffp_util.Pool.Shared.add_submitter pool in
@@ -277,7 +276,8 @@ let test_shared_table_estimates_independent () =
     List.init 3 (fun _ ->
         List.map
           (fun (est, args) ->
-            Cheffp_util.Pool.Shared.submit pool sub (fun () -> E.run est (copy args)))
+            Cheffp_util.Pool.Shared.submit pool sub (fun () ->
+                E.run est (Interp.copy_args args)))
           shared)
   in
   let results =
@@ -295,7 +295,10 @@ let test_shared_table_estimates_independent () =
     List.init 8 (fun i ->
         let prog, func, args = List.nth cases (i mod 2) in
         Cheffp_util.Pool.Shared.submit pool sub (fun () ->
-            key (E.run (E.estimate_error ~options ~builtins ~prog ~func ()) (copy args))))
+            key
+              (E.run
+                 (E.estimate_error ~options ~builtins ~prog ~func ())
+                 (Interp.copy_args args))))
   in
   List.iteri
     (fun i fut ->

@@ -1,15 +1,19 @@
 (* Monte-Carlo sampling layer (Sampling / Quantile, DESIGN.md §16):
    distribution parsing, plan resolution, draw determinism under every
    scheduling shape, the streaming quantile estimator's exact and
-   compressed modes, and the input-sweep bit-identity contract — each
+   compressed modes, the input-sweep bit-identity contract — each
    sampled lane's result equals a per-input scalar [Compile.run],
-   including the divergence-fallback paths. *)
+   including the divergence-fallback paths — and quantile-targeted
+   search, whose candidates settle at the first sweep that decides
+   them. *)
 
 open Cheffp_ir
 module Config = Cheffp_precision.Config
 module Fp = Cheffp_precision.Fp
 module Sampling = Cheffp_core.Sampling
 module Quantile = Cheffp_core.Quantile
+module Search = Cheffp_core.Search
+module B = Cheffp_benchmarks
 
 let parse src =
   let prog = Parser.parse_program src in
@@ -122,6 +126,50 @@ let test_quantile_merge () =
     merged.Quantile.max;
   Alcotest.(check bool) "split/merge p99 close" true
     (Float.abs (merged.Quantile.p99 -. whole.Quantile.p99) < 0.02)
+
+(* The settle count against the one-shot quantile, on arrays with NaN,
+   +inf, duplicates and values equal to the threshold: [settle_count]
+   values strictly above the threshold in any subset force the quantile
+   of the whole array above it, and on the whole array that many are
+   there exactly when the quantile is a number above it. *)
+let gen_settle_case =
+  QCheck.Gen.(
+    let* n = int_range 1 300 in
+    let* threshold = oneof [ return 1.; float_range 0. 2. ] in
+    let value =
+      frequency
+        [
+          (1, return Float.nan);
+          (1, return Float.infinity);
+          (2, return threshold);
+          (3, oneofl [ 0.5; 1.5; 3. ]);
+          (4, float_range 0. 2.);
+        ]
+    in
+    let* errs = array_size (return n) value in
+    let* q = oneof [ oneofl [ 0.; 0.5; 0.99; 1. ]; float_range 0. 1. ] in
+    let* subset = array_size (return n) bool in
+    return (errs, threshold, q, subset))
+
+let fuzz_settle_count =
+  QCheck.Test.make ~count:1000 ~name:"settle count decides the quantile"
+    (QCheck.make
+       ~print:(fun (errs, threshold, q, _) ->
+         Printf.sprintf "threshold=%h q=%h errs=[%s]" threshold q
+           (String.concat "; "
+              (Array.to_list (Array.map (Printf.sprintf "%h") errs))))
+       gen_settle_case)
+    (fun (errs, threshold, q, subset) ->
+      let n = Array.length errs in
+      let need = Quantile.settle_count n q in
+      let above keep =
+        let k = ref 0 in
+        Array.iteri (fun i e -> if keep i && e > threshold then incr k) errs;
+        !k
+      in
+      let exceeds = Quantile.quantile_of_array errs q > threshold in
+      (above (fun i -> subset.(i)) < need || exceeds)
+      && (above (fun _ -> true) >= need) = exceeds)
 
 (* ------------------------------------------------------------------ *)
 (* Distribution spec parsing.                                         *)
@@ -398,6 +446,68 @@ let fuzz_run_inputs_many_invariance =
               Batch.run_inputs_many ~jobs ~lanes b ~config inputs = scalar)
             [ (1, 2); (1, 6); (2, 3) ])
 
+(* ------------------------------------------------------------------ *)
+(* Quantile-targeted search: settling a candidate early changes no     *)
+(* decision, whatever the chunking and the domain count.               *)
+
+(* Everything but [batched_runs], the one count that depends on the
+   chunking. *)
+let decisions (o : Search.outcome) = { o with Search.batched_runs = 0 }
+
+let test_sampled_tune () =
+  let bs = B.Blackscholes.generate ~seed:3L ~n:2 () in
+  List.iter
+    (fun (name, prog, func, args, threshold) ->
+      let plan = Sampling.plan ~func:(Ast.func_exn prog func) ~args () in
+      let inputs = Sampling.draw_many plan ~seed:7L 64 in
+      let tune ?(strategy = `Hybrid) ~lanes ~jobs () =
+        Search.tune ~jobs ~batch:lanes ~strategy
+          ~sampling:
+            {
+              Search.inputs = Array.map Interp.copy_args inputs;
+              quantile = 0.99;
+            }
+          ~prog ~func ~args:(Interp.copy_args args) ~threshold ()
+      in
+      let check what a b =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s" name what)
+          true
+          (compare (decisions a) (decisions b) = 0)
+      in
+      let base = tune ~lanes:8 ~jobs:1 () in
+      (* One 64-lane chunk per evaluation: nothing can settle early, so
+         this is the full evaluation of every candidate. *)
+      let whole = tune ~lanes:64 ~jobs:1 () in
+      check "lanes 8 = lanes 64" base whole;
+      Alcotest.(check int)
+        (name ^ ": one sweep per evaluation at 64 lanes")
+        whole.Search.executions whole.Search.batched_runs;
+      check "jobs 1 = jobs 3" base (tune ~lanes:8 ~jobs:3 ());
+      let measured = tune ~strategy:`Measured ~lanes:8 ~jobs:1 () in
+      Alcotest.(check (list string))
+        (name ^ ": Hybrid set = Measured set")
+        measured.Search.demoted base.Search.demoted;
+      (* Failing candidates stop short of the eight sweeps a full
+         evaluation takes. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d sweeps < 8 x %d executions" name
+           base.Search.batched_runs base.Search.executions)
+        true
+        (base.Search.batched_runs < 8 * base.Search.executions))
+    [
+      ( "simpsons",
+        B.Simpsons.program,
+        B.Simpsons.func_name,
+        B.Simpsons.args ~a:0. ~b:Float.pi ~n:200,
+        1e-10 );
+      ( "blackscholes",
+        B.Blackscholes.program B.Blackscholes.Exact,
+        B.Blackscholes.price_func,
+        B.Blackscholes.price_args bs 0,
+        1e-9 );
+    ]
+
 let () =
   Alcotest.run "sampling"
     [
@@ -410,6 +520,7 @@ let () =
           Alcotest.test_case "compressed bounds" `Quick
             test_quantile_compressed;
           Alcotest.test_case "merge" `Quick test_quantile_merge;
+          QCheck_alcotest.to_alcotest fuzz_settle_count;
         ] );
       ( "spec",
         [
@@ -432,4 +543,7 @@ let () =
           QCheck_alcotest.to_alcotest fuzz_input_sweep_bit_identity;
           QCheck_alcotest.to_alcotest fuzz_run_inputs_many_invariance;
         ] );
+      ( "search",
+        [ Alcotest.test_case "sampled tune settles" `Quick test_sampled_tune ]
+      );
     ]

@@ -13,12 +13,6 @@ module Tuner = Cheffp_core.Tuner
 let check_exact = Alcotest.(check (float 0.))
 let check_bool = Alcotest.(check bool)
 
-let copy_args =
-  List.map (function
-    | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-    | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
-    | a -> a)
-
 (* ------------------------------------------------------------------ *)
 (* Dd: hand-derived identities                                         *)
 (* ------------------------------------------------------------------ *)
@@ -221,11 +215,14 @@ func simpson4(a: f64, b: f64): f64 {
 
 let test_shadow_mini_simpson () =
   let args = [ Interp.Aflt 0.0; Interp.Aflt Float.pi ] in
-  let r = Shadow.run ~prog:mini_simpson_prog ~func:"simpson4" (copy_args args) in
+  let r =
+    Shadow.run ~prog:mini_simpson_prog ~func:"simpson4" (Interp.copy_args args)
+  in
   let m = Option.get r.Shadow.ret in
   (* low lane is bit-identical to the plain interpreter... *)
   check_exact "low = Interp"
-    (Interp.run_float ~prog:mini_simpson_prog ~func:"simpson4" (copy_args args))
+    (Interp.run_float ~prog:mini_simpson_prog ~func:"simpson4"
+       (Interp.copy_args args))
     m.Shadow.low;
   (* ...the value is the textbook Simpson estimate of 2 (error O(h^4)) *)
   check_bool "integrates sine" true (Float.abs (m.Shadow.low -. 2.0) < 1e-2);
@@ -280,19 +277,19 @@ let test_shadow_all_f64_error_floor () =
   (let w = B.Kmeans.generate ~npoints:200 () in
    check_floor "kmeans"
      (Shadow.run ~prog:B.Kmeans.program ~func:B.Kmeans.func_name
-        (copy_args (B.Kmeans.args w)))
+        (Interp.copy_args (B.Kmeans.args w)))
      1e-12);
   (let w = B.Blackscholes.generate ~n:2 () in
    check_floor "blackscholes"
      (Shadow.run
         ~prog:(B.Blackscholes.program B.Blackscholes.Exact)
         ~func:B.Blackscholes.price_func
-        (copy_args (B.Blackscholes.price_args w 0)))
+        (Interp.copy_args (B.Blackscholes.price_args w 0)))
      1e-12);
   (let w = B.Hpccg.generate ~nx:5 ~ny:5 ~nz:5 ~max_iter:8 () in
    check_floor "hpccg"
      (Shadow.run ~prog:B.Hpccg.program ~func:B.Hpccg.func_name
-        (copy_args (B.Hpccg.args w)))
+        (Interp.copy_args (B.Hpccg.args w)))
      1e-11)
 
 let test_shadow_divergence_tracking () =
