@@ -24,6 +24,34 @@ module Range = Cheffp_range.Range
 module Rbox = Cheffp_range.Box
 module Rinterval = Cheffp_range.Interval
 
+(* Exit statuses. cmdliner keeps 0, 124 (usage) and 125 (internal). *)
+let exit_unsound = 1
+let exit_input = 2
+
+let exits =
+  [
+    Cmd.Exit.info Cmd.Exit.ok ~doc:"on success.";
+    Cmd.Exit.info exit_unsound
+      ~doc:"when $(b,validate) finds the error estimate UNSOUND.";
+    Cmd.Exit.info exit_input
+      ~doc:
+        "on an input or analysis error: a missing or unreadable file, a \
+         parse or type error, an unknown function, bad function arguments, \
+         a failed analysis.";
+    Cmd.Exit.info Cmd.Exit.cli_error
+      ~doc:"on a usage error: an unknown option or a bad option value.";
+    Cmd.Exit.info Cmd.Exit.internal_error
+      ~doc:"on an unexpected internal error (a bug).";
+  ]
+
+(* A bad option value found by a handler rather than by cmdliner. *)
+exception Usage of string
+
+let usage m = raise (Usage m)
+
+(* A [validate] verdict of UNSOUND. *)
+exception Unsound of string
+
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -69,7 +97,7 @@ let fpcore_input ~format path =
   | "fpcore" -> true
   | "minifp" -> false
   | "auto" -> Filename.check_suffix path ".fpcore"
-  | other -> failwith ("unknown format " ^ other ^ " (auto|minifp|fpcore)")
+  | other -> usage ("unknown format " ^ other ^ " (auto|minifp|fpcore)")
 
 (* Load either syntax; FPCore inputs also carry per-kernel metadata
    (sample arguments from [:pre], an embedded precision config). *)
@@ -114,8 +142,8 @@ let parse_config demote =
       | [ var; fmt ] -> (
           match Fp.format_of_string fmt with
           | Some f -> Config.demote cfg var f
-          | None -> failwith ("unknown format " ^ fmt))
-      | _ -> failwith ("bad demotion spec " ^ spec ^ " (expected var:fmt)"))
+          | None -> usage ("unknown format " ^ fmt))
+      | _ -> usage ("bad demotion spec " ^ spec ^ " (expected var:fmt)"))
     Config.double demote
 
 (* Positional args beat [:pre]-derived samples; FPCore kernels analyzed
@@ -132,7 +160,7 @@ let model_of_string target = function
   | "taylor" -> Cheffp_core.Model.taylor ~target ()
   | "adapt" -> Cheffp_core.Model.adapt ~target ()
   | "zero" -> Cheffp_core.Model.zero
-  | other -> failwith ("unknown model " ^ other ^ " (taylor|adapt|zero)")
+  | other -> usage ("unknown model " ^ other ^ " (taylor|adapt|zero)")
 
 (* ---------------- observability flags ---------------- *)
 
@@ -191,22 +219,32 @@ let with_obs ~cmd obs body =
   Fun.protect ~finally:finish (fun () ->
       Trace.with_span ("cli." ^ cmd) body)
 
-let wrap f = try f (); `Ok () with
-  | Failure m | Parser.Error m | Lexer.Error m | Typecheck.Error m
-  | Interp.Runtime_error m | Cheffp_core.Estimate.Error m
-  | Cheffp_core.Sampling.Spec_error m | Cheffp_ad.Reverse.Error m
-  | Cheffp_range.Box.Spec_error m ->
-      `Error (false, m)
-  | Cheffp_fpcore.Sexp.Error m
-  | Fpcore_import.Error m
-  | Fpcore_export.Error m ->
-      `Error (false, m)
-  | Sys_error m -> `Error (false, m)
+let wrap f =
+  let fail code m =
+    Printf.eprintf "cheffp: %s\n%!" m;
+    `Ok code
+  in
+  match f () with
+  | () -> `Ok Cmd.Exit.ok
+  | exception Usage m -> `Error (true, m)
+  | exception Unsound m -> fail exit_unsound m
+  | exception
+      ( Failure m | Parser.Error m | Lexer.Error m | Typecheck.Error m
+      | Interp.Runtime_error m | Cheffp_core.Estimate.Error m
+      | Cheffp_core.Sampling.Spec_error m | Cheffp_ad.Reverse.Error m
+      | Cheffp_range.Box.Spec_error m | Cheffp_fpcore.Sexp.Error m
+      | Fpcore_import.Error m | Fpcore_export.Error m | Sys_error m ) ->
+      fail exit_input m
+
+let func_exn prog name =
+  match Ast.find_func prog name with
+  | Some f -> f
+  | None -> failwith (Printf.sprintf "no function named %S" name)
 
 (* ---------------- arguments ---------------- *)
 
 let file_arg =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"MiniFP source file.")
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"MiniFP source file.")
 
 let func_arg =
   Arg.(required & opt (some string) None & info [ "f"; "func" ] ~docv:"NAME" ~doc:"Function to operate on.")
@@ -274,7 +312,7 @@ let strategy_arg =
 let strategy_of s =
   match Cheffp_core.Search.strategy_of_string s with
   | Some st -> st
-  | None -> failwith ("unknown strategy " ^ s ^ " (measured|modelled|hybrid)")
+  | None -> usage ("unknown strategy " ^ s ^ " (measured|modelled|hybrid)")
 
 let prune_margin_arg =
   Arg.(
@@ -291,7 +329,7 @@ let prune_margin_arg =
 let target_of s =
   match Fp.format_of_string s with
   | Some f -> f
-  | None -> failwith ("unknown format " ^ s)
+  | None -> usage ("unknown format " ^ s)
 
 (* ---------------- Monte-Carlo input sampling ---------------- *)
 
@@ -429,14 +467,14 @@ let check_cmd =
         print_string (Pp.program_to_string prog);
         Printf.printf "// %d function(s), OK\n" (List.length prog.Ast.funcs))
   in
-  Cmd.v (Cmd.info "check" ~doc:"Parse, type-check and pretty-print a MiniFP file.")
+  Cmd.v (Cmd.info "check" ~exits ~doc:"Parse, type-check and pretty-print a MiniFP file.")
     Term.(ret (const run $ file_arg))
 
 let run_cmd =
   let run file func demote fuel raw =
     wrap (fun () ->
         let prog = load file in
-        let f = Ast.func_exn prog func in
+        let f = func_exn prog func in
         let args = parse_args f raw in
         let config = parse_config demote in
         let counter = Cost.Counter.create Cost.default in
@@ -463,7 +501,7 @@ let run_cmd =
              ~doc:"Abort after N executed statements (guard against runaway loops).")
   in
   Cmd.v
-    (Cmd.info "run"
+    (Cmd.info "run" ~exits
        ~doc:"Execute a function, optionally under a mixed-precision configuration.")
     Term.(ret (const run $ file_arg $ func_arg $ demote_arg $ fuel_arg $ rest_args))
 
@@ -475,7 +513,7 @@ let gradient_cmd =
         print_endline (Pp.func_to_string g))
   in
   Cmd.v
-    (Cmd.info "gradient" ~doc:"Generate and print the reverse-mode adjoint source.")
+    (Cmd.info "gradient" ~exits ~doc:"Generate and print the reverse-mode adjoint source.")
     Term.(ret (const run $ file_arg $ func_arg))
 
 let analyze_cmd =
@@ -484,7 +522,7 @@ let analyze_cmd =
     wrap (fun () ->
         with_obs ~cmd:"analyze" obs @@ fun () ->
         let prog, cores = load_any ~format file in
-        let f = Ast.func_exn prog func in
+        let f = func_exn prog func in
         let target = target_of target in
         let model = model_of_string target model in
         let est =
@@ -530,7 +568,7 @@ let analyze_cmd =
     Arg.(value & flag & info [ "show-code" ] ~doc:"Print the generated adjoint.")
   in
   Cmd.v
-    (Cmd.info "analyze"
+    (Cmd.info "analyze" ~exits
        ~doc:"Estimate the floating-point error of a function (CHEF-FP).")
     Term.(
       ret (const run $ file_arg $ func_arg $ model_arg $ target_arg $ show_code
@@ -543,7 +581,7 @@ let tune_cmd =
     wrap (fun () ->
         with_obs ~cmd:"tune" obs @@ fun () ->
         let prog, cores = load_any ~format file in
-        let f = Ast.func_exn prog func in
+        let f = func_exn prog func in
         let args = resolve_args cores func f raw in
         let target = target_of target in
         let profile =
@@ -601,7 +639,7 @@ let tune_cmd =
              process) instead of a fresh adapt-model analysis.")
   in
   Cmd.v
-    (Cmd.info "tune" ~doc:"Greedy mixed-precision tuning against an error threshold.")
+    (Cmd.info "tune" ~exits ~doc:"Greedy mixed-precision tuning against an error threshold.")
     Term.(
       ret (const run $ file_arg $ func_arg $ threshold_arg $ target_arg
            $ emit_arg $ profiled_arg $ format_arg $ jobs_arg $ batch_arg
@@ -614,7 +652,7 @@ let search_cmd =
     wrap (fun () ->
         with_obs ~cmd:"search" obs @@ fun () ->
         let prog, cores = load_any ~format file in
-        let f = Ast.func_exn prog func in
+        let f = func_exn prog func in
         let args = resolve_args cores func f raw in
         let target = target_of target in
         (* Ground-truth column: shadow-execute the chosen configuration
@@ -671,7 +709,7 @@ let search_cmd =
         print_string (Cheffp_core.Report.search o))
   in
   Cmd.v
-    (Cmd.info "search"
+    (Cmd.info "search" ~exits
        ~doc:"Precimonious-style search-based tuning baseline (compare with tune).")
     Term.(
       ret (const run $ file_arg $ func_arg $ threshold_arg $ target_arg
@@ -684,7 +722,7 @@ let validate_cmd =
     wrap (fun () ->
         with_obs ~cmd:"validate" obs @@ fun () ->
         let prog, cores = load_any ~format file in
-        let f = Ast.func_exn prog func in
+        let f = func_exn prog func in
         let args = resolve_args cores func f raw in
         (* with no --demote, an FPCore kernel's own :cheffp-config
            (written by `cheffp export --demote`) is what gets checked *)
@@ -700,7 +738,7 @@ let validate_cmd =
           match mode with
           | "extended" -> Config.Extended
           | "source" -> Config.Source
-          | other -> failwith ("unknown mode " ^ other ^ " (extended|source)")
+          | other -> usage ("unknown mode " ^ other ^ " (extended|source)")
         in
         let v =
           Cheffp_shadow.Oracle.check_estimate ~builtins:(builtins ()) ~mode
@@ -708,7 +746,7 @@ let validate_cmd =
         in
         print_string (Cheffp_shadow.Oracle.render v);
         if not v.Cheffp_shadow.Oracle.sound then
-          failwith
+          raise @@ Unsound
             (Printf.sprintf
                "validate: UNSOUND — measured error %.6e exceeds the modelled \
                 bound %.6e"
@@ -737,7 +775,7 @@ let validate_cmd =
           ~doc:"Abort after N executed statements (guard against runaway loops).")
   in
   Cmd.v
-    (Cmd.info "validate"
+    (Cmd.info "validate" ~exits
        ~doc:
          "Check the CHEF-FP estimate against double-double shadow execution: \
           measure the true error of a (possibly demoted) run and report \
@@ -766,7 +804,7 @@ let out_arg =
 let import_cmd =
   let run files out samples dist seed =
     wrap (fun () ->
-        if files = [] then failwith "cheffp import: no input files";
+        if files = [] then usage "no input files";
         let buf = Buffer.create 4096 in
         Buffer.add_string buf
           (Printf.sprintf
@@ -886,11 +924,11 @@ let import_cmd =
   in
   let files_arg =
     Arg.(
-      value & pos_all file []
+      value & pos_all string []
       & info [] ~docv:"FILE" ~doc:"FPCore file(s) to translate.")
   in
   Cmd.v
-    (Cmd.info "import"
+    (Cmd.info "import" ~exits
        ~doc:
          "Translate FPCore (FPBench) files into one MiniFP translation \
           unit, with each kernel's provenance, [:pre]-derived sample \
@@ -926,7 +964,7 @@ let export_cmd =
           ~doc:"Export only this function (default: every function).")
   in
   Cmd.v
-    (Cmd.info "export"
+    (Cmd.info "export" ~exits
        ~doc:
          "Render MiniFP functions as FPCore 1.x for exchange with other \
           FPBench tools. A --demote configuration is embedded as \
@@ -967,7 +1005,7 @@ let adapt_cmd =
                   let module R = B.Kmeans.Native (N) in
                   R.run w)
           | other ->
-              failwith
+              usage
                 ("unknown benchmark " ^ other
                ^ " (arclength|simpsons|kmeans)")
         in
@@ -1017,7 +1055,7 @@ let adapt_cmd =
           ~doc:"Emulated tape memory budget; exceeding it aborts (paper's OOM).")
   in
   Cmd.v
-    (Cmd.info "adapt"
+    (Cmd.info "adapt" ~exits
        ~doc:
          "Run the ADAPT operator-overloading baseline on a built-in \
           benchmark (compare with analyze).")
@@ -1039,7 +1077,7 @@ let serve_cmd =
           | Some path, None -> Server.Unix_socket path
           | None, Some p -> Server.Tcp p
           | None, None -> Server.Unix_socket "cheffp.sock"
-          | Some _, Some _ -> failwith "pass either --socket or --port, not both"
+          | Some _, Some _ -> usage "pass either --socket or --port, not both"
         in
         let srv =
           Server.create ?workers ~max_pending ~telemetry:(not no_telemetry)
@@ -1131,7 +1169,7 @@ let serve_cmd =
           ~doc:"Retain the most recent $(docv) error request traces.")
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits
        ~doc:
          "Run the long-lived analysis server: newline-delimited JSON \
           requests (analyze, tune, search, sample, validate, range, ping, \
@@ -1161,7 +1199,7 @@ let top_cmd =
           | Some path, None -> Client.connect_unix path
           | None, Some p -> Client.connect_tcp p
           | None, None -> Client.connect_unix "cheffp.sock"
-          | Some _, Some _ -> failwith "pass either --socket or --port, not both"
+          | Some _, Some _ -> usage "pass either --socket or --port, not both"
         in
         let target =
           match (socket, port) with
@@ -1338,7 +1376,7 @@ let top_cmd =
       & info [ "raw" ] ~doc:"Print the raw stats JSON instead of the dashboard.")
   in
   Cmd.v
-    (Cmd.info "top"
+    (Cmd.info "top" ~exits
        ~doc:
          "Live dashboard for a running cheffp serve daemon: polls the \
           stats request and renders req/s, windowed p50/p95/p99 \
@@ -1353,7 +1391,7 @@ let sensitivity_cmd =
   let run file func loop raw =
     wrap (fun () ->
         let prog = load file in
-        let f = Ast.func_exn prog func in
+        let f = func_exn prog func in
         let args = parse_args f raw in
         let track =
           match loop with Some name -> `Loop name | None -> `Outermost
@@ -1394,17 +1432,17 @@ let sensitivity_cmd =
              ~doc:"Track iterations of the named loop variable (default: the outermost loop).")
   in
   Cmd.v
-    (Cmd.info "sensitivity"
+    (Cmd.info "sensitivity" ~exits
        ~doc:"Per-iteration sensitivity heatmap of every variable (paper Fig. 9).")
     Term.(ret (const run $ file_arg $ func_arg $ loop_arg $ rest_args))
 
 let () =
   let info =
-    Cmd.info "cheffp" ~version:"1.0.0"
+    Cmd.info "cheffp" ~version:"1.0.0" ~exits
       ~doc:"Automatic floating-point error analysis via source-transformation AD (CHEF-FP reproduction)."
   in
   exit
-    (Cmd.eval
+    (Cmd.eval'
        (Cmd.group info
           [ check_cmd; run_cmd; gradient_cmd; analyze_cmd; tune_cmd;
             search_cmd; validate_cmd; import_cmd; export_cmd; adapt_cmd;

@@ -18,7 +18,12 @@
     double-underscore intrinsics (runtime callbacks) are never touched.
     Control-flow boundaries clear availability, so the transformation is
     local and exactly value-preserving — identical operations in the same
-    order produce bit-identical floats. *)
+    order produce bit-identical floats.
+
+    The pass runs in time linear in the size of the function: one
+    bottom-up walk per right-hand side (and per hoisted temporary)
+    computes every node's size, typing and structural hash, and
+    availability is a hash table with a per-variable kill index. *)
 
 val cse_func :
   ?builtins:Builtins.t ->

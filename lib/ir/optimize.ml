@@ -1,6 +1,17 @@
 open Ast
+module Trace = Cheffp_obs.Trace
+module Stbl = Hashtbl.Make (String)
 
 let bool_i b = Iconst (if b then 1 else 0)
+
+(* [List.map] that returns [l] itself when [f] changes no element. *)
+let rec map_shared f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let x' = f x in
+      let rest' = map_shared f rest in
+      if x' == x && rest' == rest then l else x' :: rest'
 
 let rec expr_mentions p = function
   | Var v -> p v
@@ -17,19 +28,25 @@ let rec fold_expr ?(fast_math = true) ?(opaque = fun _ -> false) e =
      variables, which changes Source-mode rounding of the surrounding
      operation: keep such identities only for format-neutral operands. *)
   let fmt_neutral e = not (expr_mentions opaque e) in
+  (* An unchanged node is returned as it is, so that a pass that
+     rewrites nothing shares the whole tree. *)
   match e with
   | Fconst _ | Iconst _ | Var _ -> e
-  | Idx (a, i) -> Idx (a, f i)
-  | Unop (Neg, e) -> (
-      match f e with
+  | Idx (a, i) ->
+      let i' = f i in
+      if i' == i then e else Idx (a, i')
+  | Unop (Neg, x) -> (
+      match f x with
       | Fconst x -> Fconst (-.x)
       | Iconst n -> Iconst (-n)
       | Unop (Neg, inner) -> inner
-      | e -> Unop (Neg, e))
-  | Unop (Not, e) -> (
-      match f e with Iconst n -> bool_i (n = 0) | e -> Unop (Not, e))
-  | Binop (op, a, b) -> (
-      let a = f a and b = f b in
+      | x' -> if x' == x then e else Unop (Neg, x'))
+  | Unop (Not, x) -> (
+      match f x with
+      | Iconst n -> bool_i (n = 0)
+      | x' -> if x' == x then e else Unop (Not, x'))
+  | Binop (op, a0, b0) -> (
+      let a = f a0 and b = f b0 in
       match (op, a, b) with
       (* integer constant folding *)
       | Add, Iconst x, Iconst y -> Iconst (x + y)
@@ -78,150 +95,211 @@ let rec fold_expr ?(fast_math = true) ?(opaque = fun _ -> false) e =
       | And, _, Iconst 0 | And, Iconst 0, _ -> Iconst 0
       | Or, e, Iconst 0 | Or, Iconst 0, e -> e
       | Or, _, Iconst n when n <> 0 -> Iconst 1
-      | op, a, b -> Binop (op, a, b))
-  | Call (name, args) -> Call (name, List.map f args)
+      | op, a, b -> if a == a0 && b == b0 then e else Binop (op, a, b))
+  | Call (name, args) ->
+      let args' = map_shared f args in
+      if args' == args then e else Call (name, args')
 
 (* ------------------------------------------------------------------ *)
 (* Copy / constant propagation within basic blocks.                   *)
 
 module Smap = Map.Make (String)
 
-(* Map from variable to the Var/const expression it currently equals.
-   Kill rules: assigning to [v] removes the binding of [v] and any
-   binding whose value mentions [v]. *)
-let kill env v =
-  Smap.filter
-    (fun key value ->
-      key <> v
-      &&
-      let rec mentions = function
-        | Var x -> x = v
-        | Fconst _ | Iconst _ -> false
-        | Idx (a, i) -> a = v || mentions i
-        | Unop (_, e) -> mentions e
-        | Binop (_, a, b) -> mentions a || mentions b
-        | Call (_, args) -> List.exists mentions args
-      in
-      not (mentions value))
-    env
+(* [stmts] rebuilt from [s :: rest] as [s' :: rest'], or [stmts] itself
+   when neither part changed. *)
+let relink stmts s s' rest rest' =
+  if s' == s && rest' == rest then stmts else s' :: rest'
 
-let rec prop_expr env = function
-  | Var v as e -> ( match Smap.find_opt v env with Some r -> r | None -> e)
-  | (Fconst _ | Iconst _) as e -> e
-  | Idx (a, i) -> Idx (a, prop_expr env i)
-  | Unop (op, e) -> Unop (op, prop_expr env e)
-  | Binop (op, a, b) -> Binop (op, prop_expr env a, prop_expr env b)
-  | Call (f, args) -> Call (f, List.map (prop_expr env) args)
+(* The facts of a basic block: [value] maps a variable to the Var/const
+   expression it currently equals. Kill rules: assigning to [v] removes
+   the binding of [v] and any binding to [Var v]; [copies] lists, for
+   each [v], the variables bound to [Var v] (some since rebound), so a
+   kill touches only those instead of every fact. *)
+type env = { value : expr Smap.t; copies : string list Smap.t }
 
-let rec prop_stmts ~fast_math ~opaque env stmts =
-  let prop_stmts = prop_stmts ~fast_math ~opaque in
-  let fold_expr ?fast_math:(fm = fast_math) e =
-    fold_expr ~fast_math:fm ~opaque e
+let empty = { value = Smap.empty; copies = Smap.empty }
+
+let bind env v value =
+  let copies =
+    match value with
+    | Var src ->
+        Smap.update src
+          (fun l -> Some (v :: Option.value ~default:[] l))
+          env.copies
+    | _ -> env.copies
   in
+  { value = Smap.add v value env.value; copies }
+
+let kill env v =
+  let value = Smap.remove v env.value in
+  match Smap.find_opt v env.copies with
+  | None -> if value == env.value then env else { env with value }
+  | Some ks ->
+      let value =
+        List.fold_left
+          (fun value k ->
+            match Smap.find_opt k value with
+            | Some (Var src) when src = v -> Smap.remove k value
+            | _ -> value)
+          value ks
+      in
+      { value; copies = Smap.remove v env.copies }
+
+let rec prop_expr env e =
+  match e with
+  | Var v -> ( match Smap.find_opt v env.value with Some r -> r | None -> e)
+  | Fconst _ | Iconst _ -> e
+  | Idx (a, i) ->
+      let i' = prop_expr env i in
+      if i' == i then e else Idx (a, i')
+  | Unop (op, x) ->
+      let x' = prop_expr env x in
+      if x' == x then e else Unop (op, x')
+  | Binop (op, a, b) ->
+      let a' = prop_expr env a and b' = prop_expr env b in
+      if a' == a && b' == b then e else Binop (op, a', b')
+  | Call (f, args) ->
+      let args' = map_shared (prop_expr env) args in
+      if args' == args then e else Call (f, args')
+
+(* Unchanged statements and statement lists are returned as they are. *)
+let rec prop_stmts ~fast_math ~opaque env stmts =
   match stmts with
-  | [] -> (env, [])
+  | [] -> (env, stmts)
   | s :: rest ->
-      let env, s =
+      let simp e =
+        if Smap.is_empty env.value then fold_expr ~fast_math ~opaque e
+        else fold_expr ~fast_math ~opaque (prop_expr env e)
+      in
+      let simp_opt o =
+        match o with
+        | None -> o
+        | Some e ->
+            let e' = simp e in
+            if e' == e then o else Some e'
+      in
+      let prop_stmts = prop_stmts ~fast_math ~opaque in
+      let env, s' =
         match s with
-        | Decl ({ init; dty; _ } as d) ->
-            let dty =
+        | Decl ({ init; dty; name } as d) ->
+            let dty' =
               match dty with
               | Dscalar _ -> dty
               | Darr (sc, size) ->
-                  Darr (sc, fold_expr ~fast_math (prop_expr env size))
+                  let size' = simp size in
+                  if size' == size then dty else Darr (sc, size')
             in
-            let init = Option.map (fun e -> fold_expr ~fast_math (prop_expr env e)) init in
-            let env = kill env d.name in
+            let init' = simp_opt init in
+            let env = kill env name in
             let env =
-              match init with
+              match init' with
               (* forwarding through an opaque target skips its store
                  rounding; forwarding an opaque source narrows the
                  static format of downstream operations *)
-              | Some ((Fconst _ | Iconst _) as simple) when not (opaque d.name)
-                ->
-                  Smap.add d.name simple env
-              | Some (Var src) when (not (opaque d.name)) && not (opaque src)
-                ->
-                  Smap.add d.name (Var src) env
+              | Some ((Fconst _ | Iconst _) as simple) when not (opaque name) ->
+                  bind env name simple
+              | Some (Var src as copy)
+                when (not (opaque name)) && not (opaque src) ->
+                  bind env name copy
               | _ -> env
             in
-            (env, Decl { d with dty; init })
+            ( env,
+              if dty' == dty && init' == init then s
+              else Decl { d with dty = dty'; init = init' } )
         | Assign (lv, e) -> (
-            let e = fold_expr ~fast_math (prop_expr env e) in
+            let e' = simp e in
             match lv with
             | Lvar v ->
                 let env = kill env v in
                 let env =
                   if opaque v then env
                   else
-                    match e with
-                    | (Fconst _ | Iconst _) as c -> Smap.add v c env
-                    | Var src when src <> v && not (opaque src) ->
-                        Smap.add v (Var src) env
+                    match e' with
+                    | Fconst _ | Iconst _ -> bind env v e'
+                    | Var src when src <> v && not (opaque src) -> bind env v e'
                     | _ -> env
                 in
-                (env, Assign (lv, e))
+                (env, if e' == e then s else Assign (lv, e'))
             | Lidx (a, i) ->
-                let i = fold_expr ~fast_math (prop_expr env i) in
+                let i' = simp i in
                 (* Writing a[i] invalidates bindings mentioning a. *)
-                (kill env a, Assign (Lidx (a, i), e)))
+                ( kill env a,
+                  if e' == e && i' == i then s else Assign (Lidx (a, i'), e') ))
         | If (c, t, e) -> (
-            let c = fold_expr ~fast_math (prop_expr env c) in
-            match (c, fast_math) with
-            | Iconst n, _ ->
+            let c' = simp c in
+            match c' with
+            | Iconst n ->
                 let branch = if n <> 0 then t else e in
                 let env', branch = prop_stmts env branch in
-                (* Splice: return the branch as a block via If(1,branch,[]).
-                   We instead return statements directly by re-wrapping. *)
+                (* A marker [flatten] splices into the enclosing block. *)
                 (env', If (Iconst 1, branch, []))
             | _ ->
-                let _, t = prop_stmts env t in
-                let _, e = prop_stmts env e in
+                let _, t' = prop_stmts env t in
+                let _, e' = prop_stmts env e in
                 (* Conservative join: drop all facts. *)
-                (Smap.empty, If (c, t, e)))
+                ( empty,
+                  if c' == c && t' == t && e' == e then s
+                  else If (c', t', e') ))
         | For ({ lo; hi; body; _ } as l) ->
-            let lo = fold_expr ~fast_math (prop_expr env lo) in
-            let hi = fold_expr ~fast_math (prop_expr env hi) in
+            let lo' = simp lo and hi' = simp hi in
             (* The body runs many times: start from no facts, end with none. *)
-            let _, body = prop_stmts Smap.empty body in
-            (Smap.empty, For { l with lo; hi; body })
+            let _, body' = prop_stmts empty body in
+            ( empty,
+              if lo' == lo && hi' == hi && body' == body then s
+              else For { l with lo = lo'; hi = hi'; body = body' } )
         | While (c, body) ->
-            let _, body = prop_stmts Smap.empty body in
-            (Smap.empty, While (c, body))
+            let _, body' = prop_stmts empty body in
+            (empty, if body' == body then s else While (c, body'))
         | Return e ->
-            (env, Return (Option.map (fun e -> fold_expr ~fast_math (prop_expr env e)) e))
+            let e' = simp_opt e in
+            (env, if e' == e then s else Return e')
         | Call_stmt (f, args) ->
-            ( env,
-              Call_stmt
-                (f, List.map (fun e -> fold_expr ~fast_math (prop_expr env e)) args) )
+            let args' = map_shared simp args in
+            (env, if args' == args then s else Call_stmt (f, args'))
         | Push (Lidx (a, i)) ->
-            (env, Push (Lidx (a, fold_expr ~fast_math (prop_expr env i))))
+            let i' = simp i in
+            (env, if i' == i then s else Push (Lidx (a, i')))
         | Pop (Lvar v) -> (kill env v, s)
         | Pop (Lidx (a, i)) ->
-            (kill env a, Pop (Lidx (a, fold_expr ~fast_math (prop_expr env i))))
+            let i' = simp i in
+            (kill env a, if i' == i then s else Pop (Lidx (a, i')))
         | Push (Lvar _) -> (env, s)
       in
-      let env, rest = prop_stmts env rest in
-      (env, s :: rest)
+      let env, rest' = prop_stmts env rest in
+      (env, relink stmts s s' rest rest')
+
+(* [s] with [f] applied to each block it holds, or [s] itself when no
+   block changed. *)
+let map_blocks f s =
+  match s with
+  | If (c, t, e) ->
+      let t' = f t and e' = f e in
+      if t' == t && e' == e then s else If (c, t', e')
+  | For l ->
+      let body = f l.body in
+      if body == l.body then s else For { l with body }
+  | While (c, body) ->
+      let body' = f body in
+      if body' == body then s else While (c, body')
+  | Decl _ | Assign _ | Return _ | Call_stmt _ | Push _ | Pop _ -> s
 
 (* Flattens If(1, block, []) markers produced by constant branches. *)
 let rec flatten stmts =
-  List.concat_map
-    (function
-      | If (Iconst 1, t, []) -> flatten t
-      | If (Iconst 0, _, e) -> flatten e
-      | If (c, t, e) -> [ If (c, flatten t, flatten e) ]
-      | For l -> [ For { l with body = flatten l.body } ]
-      | While (c, body) -> [ While (c, flatten body) ]
-      | s -> [ s ])
-    stmts
+  match stmts with
+  | [] -> stmts
+  | s :: rest -> (
+      let rest' = flatten rest in
+      match s with
+      | If (Iconst 1, t, []) -> flatten t @ rest'
+      | If (Iconst 0, _, e) -> flatten e @ rest'
+      | _ -> relink stmts s (map_blocks flatten s) rest rest')
 
 (* ------------------------------------------------------------------ *)
 (* Dead local elimination.                                            *)
 
 let reads_of_func f =
-  let reads = Hashtbl.create 64 in
-  let mark v = Hashtbl.replace reads v () in
+  let reads = Stbl.create 64 in
+  let mark v = if not (Stbl.mem reads v) then Stbl.add reads v () in
   let rec expr = function
     | Var v -> mark v
     | Fconst _ | Iconst _ -> ()
@@ -274,12 +352,12 @@ let reads_of_func f =
   reads
 
 let dead_local_elim f =
-  let protected = Hashtbl.create 16 in
-  List.iter (fun p -> Hashtbl.replace protected p.pname ()) f.params;
+  let protected = Stbl.create 16 in
+  List.iter (fun p -> Stbl.replace protected p.pname ()) f.params;
   (* Variables involved in push/pop must survive: the value stack
      discipline depends on them. *)
   let rec protect_pushpop = function
-    | Push lv | Pop lv -> Hashtbl.replace protected (lvalue_base lv) ()
+    | Push lv | Pop lv -> Stbl.replace protected (lvalue_base lv) ()
     | If (_, t, e) ->
         List.iter protect_pushpop t;
         List.iter protect_pushpop e
@@ -288,26 +366,26 @@ let dead_local_elim f =
   in
   List.iter protect_pushpop f.body;
   let reads = reads_of_func f in
-  let dead v = (not (Hashtbl.mem protected v)) && not (Hashtbl.mem reads v) in
+  let dead v = (not (Stbl.mem protected v)) && not (Stbl.mem reads v) in
   let rec clean stmts =
-    List.filter_map
-      (function
-        | Decl { name; _ } when dead name -> None
-        | Assign (Lvar v, _) when dead v -> None
-        | If (c, t, e) -> Some (If (c, clean t, clean e))
-        | For l -> Some (For { l with body = clean l.body })
-        | While (c, body) -> Some (While (c, clean body))
-        | s -> Some s)
-      stmts
+    match stmts with
+    | [] -> stmts
+    | s :: rest -> (
+        let rest' = clean rest in
+        match s with
+        | Decl { name; _ } when dead name -> rest'
+        | Assign (Lvar v, _) when dead v -> rest'
+        | _ -> relink stmts s (map_blocks clean s) rest rest')
   in
-  { f with body = clean f.body }
+  let body = clean f.body in
+  if body == f.body then f else { f with body }
 
 (* Variables whose storage format is narrower than binary64 round on
    every store; forwarding values through them (copy/const propagation,
    CSE availability) would skip that rounding and change mixed-precision
    semantics, so they are opaque to those rewrites. *)
 let declared_narrow f =
-  let narrow = Hashtbl.create 8 in
+  let narrow = Stbl.create 8 in
   let scalar_narrow = function
     | Sflt fmt -> not (Cheffp_precision.Fp.equal_format fmt Cheffp_precision.Fp.F64)
     | Sint -> false
@@ -316,12 +394,12 @@ let declared_narrow f =
     (fun p ->
       match p.pty with
       | Tscalar sc | Tarr sc ->
-          if scalar_narrow sc then Hashtbl.replace narrow p.pname ())
+          if scalar_narrow sc then Stbl.replace narrow p.pname ())
     f.params;
   let rec stmt = function
     | Decl { name; dty = Dscalar sc; _ } | Decl { name; dty = Darr (sc, _); _ }
       ->
-        if scalar_narrow sc then Hashtbl.replace narrow name ()
+        if scalar_narrow sc then Stbl.replace narrow name ()
     | If (_, a, b) ->
         List.iter stmt a;
         List.iter stmt b
@@ -331,19 +409,30 @@ let declared_narrow f =
   List.iter stmt f.body;
   narrow
 
+let max_passes = 8
+
 let optimize_func ?(fast_math = true) ?(cse = true) ?(opaque = fun _ -> false) f =
   let narrow = declared_narrow f in
-  let opaque v = opaque v || Hashtbl.mem narrow v in
+  let opaque =
+    if Stbl.length narrow = 0 then opaque
+    else fun v -> opaque v || Stbl.mem narrow v
+  in
   let f = if cse then Cse.cse_func ~opaque f else f in
   let pass f =
-    let _, body = prop_stmts ~fast_math ~opaque Smap.empty f.body in
-    let f = { f with body = flatten body } in
-    dead_local_elim f
+    let _, body = prop_stmts ~fast_math ~opaque empty f.body in
+    let body = flatten body in
+    dead_local_elim (if body == f.body then f else { f with body })
   in
-  let rec fixpoint k f =
-    if k = 0 then f
-    else
-      let f' = pass f in
-      if f' = f then f else fixpoint (k - 1) f'
+  (* A pass that rewrites nothing returns its input, so [compare] (which
+     skips physically equal subtrees) settles convergence without
+     walking the function; unlike [=], it holds a NaN literal equal to
+     itself. *)
+  let rec fixpoint passes f =
+    let f' = pass f in
+    if compare f' f = 0 then (passes, f)
+    else if passes = max_passes then (passes, f')
+    else fixpoint (passes + 1) f'
   in
-  fixpoint 8 f
+  let passes, f = fixpoint 1 f in
+  if Trace.enabled () then Trace.add_attr "passes" (Trace.Int passes);
+  f

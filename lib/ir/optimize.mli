@@ -28,7 +28,10 @@ val fold_expr :
 val optimize_func :
   ?fast_math:bool -> ?cse:bool -> ?opaque:(string -> bool) -> Ast.func -> Ast.func
 (** Runs local CSE ({!Cse}, on by default) once, then folding,
-    propagation, and DCE to a fixpoint (bounded). Out parameters and
+    propagation, and DCE to a fixpoint: passes stop at the first one
+    that changes nothing (by [compare], so a NaN literal equals itself),
+    or after eight. With tracing on, the number of passes is recorded as
+    the [passes] attribute of the enclosing span. Out parameters and
     arrays are never removed.
 
     [opaque] names variables whose stored value must always be re-read

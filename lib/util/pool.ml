@@ -81,17 +81,24 @@ let parallel_map ?jobs f xs =
         in
         loop ()
       in
-      let spawned =
-        Array.init
-          (min jobs n - 1)
-          (fun k ->
+      (* Spawning stops at the first domain the runtime refuses (it
+         caps how many are alive at once): the caller and the workers
+         already running drain the cursor between them. *)
+      let rec spawn k spawned =
+        if k >= min jobs n then spawned
+        else
+          match
             Domain.spawn (fun () ->
                 (* Spans opened inside worker tasks nest under the span
                    that issued this batch. *)
-                Trace.with_parent trace_parent (worker (k + 1))))
+                Trace.with_parent trace_parent (worker k))
+          with
+          | d -> spawn (k + 1) (d :: spawned)
+          | exception Failure _ -> spawned
       in
+      let spawned = spawn 1 [] in
       worker 0 ();
-      Array.iter Domain.join spawned;
+      List.iter Domain.join spawned;
       Array.iter (function Some (Error e) -> raise e | _ -> ()) results;
       Array.to_list
         (Array.map

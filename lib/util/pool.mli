@@ -6,7 +6,9 @@
     {!parallel_map} call spawns a bounded pool of [jobs - 1] worker
     domains (the calling domain is the remaining worker), feeds them
     items from a shared atomic cursor, and joins them before returning,
-    so no domains outlive the call.
+    so no domains outlive the call. When the runtime refuses a domain
+    (it caps how many are alive at once), the call goes on with the
+    workers it has.
 
     Guarantees:
     - results preserve input order;

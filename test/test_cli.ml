@@ -145,6 +145,45 @@ let test_errors_reported () =
   let code3, _ = run_cli [ "check"; "/nonexistent/file.mfp" ] in
   Alcotest.(check bool) "missing file" true (code3 <> 0)
 
+(* Each failure class has its own exit status, listed under EXIT
+   STATUS in `cheffp --help`: 1 for an UNSOUND verdict, 2 for an input
+   or analysis error, 124 (cmdliner's) for a usage error. *)
+let test_exit_codes () =
+  let ill_typed = Filename.temp_file "cheffp_cli" ".mfp" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove ill_typed)
+    (fun () ->
+      let oc = open_out ill_typed in
+      output_string oc "func f(x: f64): f64 { var y: int = x; return x; }\n";
+      close_out oc;
+      let code, out = run_cli [ "check"; ill_typed ] in
+      Alcotest.(check int) "type error" 2 code;
+      Alcotest.(check bool) "type error reported" true
+        (contains out "expected int"));
+  with_temp_file (fun path ->
+      let code, _ = run_cli [ "run"; path; "--func"; "nosuch" ] in
+      Alcotest.(check int) "unknown function" 2 code;
+      let code, _ = run_cli [ "run"; path; "--func"; "poly"; "--no-such-flag" ] in
+      Alcotest.(check int) "unknown option" 124 code;
+      let code, _ =
+        run_cli [ "validate"; path; "--func"; "poly"; "--mode"; "bogus"; "1"; "2" ]
+      in
+      Alcotest.(check int) "bad option value" 124 code);
+  let code, _ = run_cli [ "check"; "/nonexistent/file.mfp" ] in
+  Alcotest.(check int) "missing file" 2 code;
+  let hypot =
+    Filename.concat
+      (Option.get (Cheffp_benchmarks.Corpus.corpus_dir ()))
+      "hypot.fpcore"
+  in
+  let code, out =
+    run_cli
+      [ "validate"; hypot; "--func"; "hypot"; "--demote"; "x1:f32"; "--demote";
+        "x2:f32"; "--mode"; "source" ]
+  in
+  Alcotest.(check int) "UNSOUND verdict" 1 code;
+  Alcotest.(check bool) "verdict printed" true (contains out "UNSOUND")
+
 let () =
   Alcotest.run "cli"
     [
@@ -160,5 +199,6 @@ let () =
           Alcotest.test_case "search" `Quick test_search;
           Alcotest.test_case "sensitivity" `Quick test_sensitivity;
           Alcotest.test_case "errors" `Quick test_errors_reported;
+          Alcotest.test_case "exit codes" `Quick test_exit_codes;
         ] );
     ]

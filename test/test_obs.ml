@@ -122,6 +122,37 @@ let test_pool_parenting () =
         batch.Trace.id t.Trace.parent)
     tasks
 
+let test_optimize_passes () =
+  (* [0.0 / 0.0] folds to a NaN literal. The fixpoint must still see the
+     second pass change nothing and stop there; the pass count lands on
+     the enclosing span. *)
+  let prog =
+    Cheffp_ir.Parser.parse_program
+      {|func f(x: f64): f64 {
+          var y: f64 = 0.0 / 0.0;
+          return x * y;
+        }|}
+  in
+  let passes name spans =
+    match List.assoc_opt "passes" (find name spans).Trace.attrs with
+    | Some (Trace.Int n) -> n
+    | _ -> Alcotest.failf "span %S has no passes attribute" name
+  in
+  let spans =
+    with_tracing (fun () ->
+        ignore (Cheffp_core.Estimate.estimate_error ~prog ~func:"f" ());
+        Trace.spans ())
+  in
+  Alcotest.(check int) "estimate.optimize passes" 2
+    (passes "estimate.optimize" spans);
+  let spans =
+    with_tracing (fun () ->
+        Compile_cache.clear ();
+        ignore (Compile_cache.compile ~prog ~func:"f" ());
+        Trace.spans ())
+  in
+  Alcotest.(check int) "compile passes" 2 (passes "compile" spans)
+
 (* ------------------------------------------------------------------ *)
 (* Disabled path                                                      *)
 
@@ -933,6 +964,8 @@ let () =
           Alcotest.test_case "attrs and events" `Quick test_attrs_events;
           Alcotest.test_case "pool worker parenting" `Quick
             test_pool_parenting;
+          Alcotest.test_case "optimizer passes on a NaN literal" `Quick
+            test_optimize_passes;
           Alcotest.test_case "disabled path inert" `Quick test_disabled_inert;
           Alcotest.test_case "disabled path allocation-free" `Quick
             test_disabled_no_alloc;

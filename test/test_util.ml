@@ -450,6 +450,22 @@ let test_pool_edge_cases () =
     (Pool.parallel_map ~jobs:64 (fun x -> x + 1) [ 1; 2 ]);
   Alcotest.(check bool) "default_jobs at least 1" true (Pool.default_jobs () >= 1)
 
+let test_pool_domain_limit () =
+  (* More workers than the runtime lets live at once: the call goes on
+     with the domains it gets, returns every result in order, and joins
+     them all, so a later call can spawn again. *)
+  let xs = List.init 400 Fun.id in
+  let f i =
+    Unix.sleepf 0.01;
+    i * 3
+  in
+  Alcotest.(check (list int))
+    "all results in order" (List.map (fun i -> i * 3) xs)
+    (Pool.parallel_map ~jobs:200 f xs);
+  Alcotest.(check (list int))
+    "domains released" [ 1; 2; 3 ]
+    (Pool.parallel_map ~jobs:3 Fun.id [ 1; 2; 3 ])
+
 (* ------------------------------------------------------------------ *)
 (* Pool.Shared (the serve daemon's work-stealing request pool)        *)
 
@@ -673,6 +689,8 @@ let () =
           Alcotest.test_case "exception propagation" `Quick
             test_pool_exception_propagation;
           Alcotest.test_case "edge cases" `Quick test_pool_edge_cases;
+          Alcotest.test_case "more jobs than domains" `Quick
+            test_pool_domain_limit;
           Alcotest.test_case "shared pool basics" `Quick test_shared_basic;
           Alcotest.test_case "shared pool priority/deadline" `Quick
             test_shared_priority_deadline;
