@@ -8,8 +8,13 @@
     out of memory on the larger workloads of Figs. 4–8; the byte
     accounting here feeds that comparison deterministically.
 
-    Layout is structure-of-arrays; {!bytes_per_node} reflects the payload
-    of one node (4 floats + 3 indices). *)
+    Layout is structure-of-arrays in fixed-size chunks of {!chunk_nodes}
+    nodes, as CoDiPack's chunked tapes keep it: appending never copies a
+    recorded node, only a small chunk directory grows, and the adjoint
+    column is allocated once, at the tape's exact length, by
+    {!backward}. The resident footprint therefore tracks
+    {!bytes_per_node} (4 floats + 3 indices, 56 B) per node, plus at
+    most one partly filled chunk. *)
 
 type t
 
@@ -22,6 +27,12 @@ val create : ?meter:Cheffp_util.Meter.t -> unit -> t
     budget emulates the paper's out-of-memory failures. *)
 
 val bytes_per_node : int
+
+val chunk_nodes : int
+(** Nodes per storage chunk (a power of two). The reverse sweep and the
+    walks below visit the tape chunk by chunk, and a parallel
+    {!walk_errors} hands one chunk to each pool task. *)
+
 val length : t -> int
 val bytes : t -> int
 
@@ -38,7 +49,11 @@ val backward : t -> num -> unit
     nodes. Resets previous adjoints. *)
 
 val adjoint : t -> num -> float
+(** [0.] for constants and for nodes recorded after the last
+    {!backward}. *)
+
 val value : t -> int -> float
+(** Value of node [i]; [Invalid_argument] outside [0 .. length t - 1]. *)
 
 val fold_registered : t -> init:'a -> f:('a -> string -> adjoint:float -> value:float -> 'a) -> 'a
 (** Iterate over attribution nodes (inputs included if named), oldest
@@ -53,7 +68,7 @@ val walk_errors :
 (** [walk_errors t ~jobs ~f ()] evaluates [f] on every attribution node
     (after {!backward}) and returns the tape-order total and the
     per-name totals (unsorted). With [jobs > 1] and a tape of more than
-    one chunk, the per-node evaluations fan out over
+    one chunk, the per-node evaluations fan out, one chunk per task, over
     {!Cheffp_util.Pool.parallel_map}; the reduction is always performed
     sequentially in tape order, so the result is bit-identical to
     [jobs = 1] (and to {!fold_registered}) for every [jobs] value. [f]

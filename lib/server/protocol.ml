@@ -80,6 +80,13 @@ type request = {
   range_backend : string;  (* range: "bb" (default) | "whole" *)
 }
 
+(* [jobs] reaches [Pool.parallel_map] inside a shared worker, which
+   spawns [jobs - 1] domains per call; past the cores the host has,
+   more only fail to spawn or contend. The core count is a system call,
+   so the default of 1 skips it. *)
+let clamp_jobs j =
+  if j <= 1 then 1 else min j (Domain.recommended_domain_count ())
+
 let parse_request line =
   match Json.of_string line with
   | exception Json.Parse_error m -> Error ("bad JSON: " ^ m)
@@ -110,7 +117,7 @@ let parse_request line =
                   strategy = str "strategy" "hybrid";
                   prune_margin = flt "prune_margin" 64.;
                   profiled = flag "profiled" false;
-                  jobs = int "jobs" 1;
+                  jobs = clamp_jobs (int "jobs" 1);
                   batch = int "batch" Batch.default_lanes;
                   no_batch = flag "no_batch" false;
                   tenant = Json.to_string_opt (Json.member "tenant" j);

@@ -46,7 +46,9 @@ type request = {
   strategy : string;  (** search strategy, default "hybrid" *)
   prune_margin : float;  (** search hybrid margin, default 64. *)
   profiled : bool;  (** tune from a cached error-atom profile *)
-  jobs : int;  (** inner evaluation parallelism, default 1 *)
+  jobs : int;
+      (** inner evaluation parallelism, default 1, clamped to
+          [1 .. Domain.recommended_domain_count ()] *)
   batch : int;  (** lane width, default {!Cheffp_ir.Batch.default_lanes} *)
   no_batch : bool;
   tenant : string option;  (** cache attribution label *)

@@ -113,6 +113,92 @@ let test_error_model_attribution () =
       Alcotest.(check bool) "total = sum" true
         (close r.Adapt.total_error (expected_t +. expected_x))
 
+(* ------------------------------------------------------------------ *)
+(* Chunk boundaries                                                   *)
+
+(* acc <- register (acc * r + x), alternating two names: 3 nodes per
+   step after the input, so the tape fills three chunks and a quarter
+   of a fourth. In closed form acc = x (r^m + (1 - r^m) / (1 - r)). *)
+let chain_steps = Tape.chunk_nodes + (Tape.chunk_nodes / 4)
+let chain_nodes = 1 + (3 * chain_steps)
+let chain_r = 0.999
+let chain_x = 0.3
+
+let record_chain tape =
+  let module N = (val Adapt.num tape) in
+  let x = N.input "x" chain_x in
+  let acc = ref x in
+  for i = 1 to chain_steps do
+    let name = if i land 1 = 0 then "even" else "odd" in
+    acc := N.register name N.((!acc * of_float chain_r) + x)
+  done;
+  !acc
+
+let chain_error ~adjoint ~value =
+  Float.abs (adjoint *. Fp.representation_error Fp.F32 value)
+
+let test_chunk_boundaries () =
+  let c = Tape.chunk_nodes in
+  Alcotest.(check bool) "three full chunks and a partial one" true
+    (chain_nodes > 3 * c && chain_nodes < 4 * c);
+  let analyze jobs =
+    match Adapt.analyze ~jobs record_chain with
+    | Ok r -> r
+    | Error _ -> Alcotest.fail "unexpected OOM"
+  in
+  let r1 = analyze 1 and r3 = analyze 3 in
+  Alcotest.(check int) "nodes" chain_nodes r1.Adapt.nodes;
+  Alcotest.(check int) "tape bytes" (chain_nodes * Tape.bytes_per_node)
+    r1.Adapt.tape_bytes;
+  let rm = chain_r ** float_of_int chain_steps in
+  let dx = rm +. ((1. -. rm) /. (1. -. chain_r)) in
+  Alcotest.(check bool) "gradient = closed form" true
+    (close (List.assoc "x" r1.Adapt.gradients) dx);
+  Alcotest.(check bool) "value = closed form" true
+    (close r1.Adapt.value (chain_x *. dx));
+  let bits = Int64.bits_of_float in
+  let same_bits (n1, e1) (n2, e2) = n1 = n2 && bits e1 = bits e2 in
+  Alcotest.(check bool) "total bit-identical for jobs 1 and 3" true
+    (bits r1.Adapt.total_error = bits r3.Adapt.total_error);
+  Alcotest.(check bool) "per-variable errors and order bit-identical" true
+    (List.equal same_bits r1.Adapt.per_variable r3.Adapt.per_variable);
+  Alcotest.(check bool) "gradients bit-identical" true
+    (List.equal same_bits r1.Adapt.gradients r3.Adapt.gradients);
+  (* The walk against an independent tape-order recomputation. *)
+  let tape = Tape.create () in
+  let out = record_chain tape in
+  Tape.backward tape out;
+  let total, per_var =
+    Tape.fold_registered tape ~init:(0., [])
+      ~f:(fun (total, acc) name ~adjoint ~value ->
+        let e = chain_error ~adjoint ~value in
+        let prev = Option.value ~default:0. (List.assoc_opt name acc) in
+        (total +. e, (name, prev +. e) :: List.remove_assoc name acc))
+  in
+  let by_name l = List.sort (fun (a, _) (b, _) -> compare a b) l in
+  List.iter
+    (fun jobs ->
+      let wt, wv = Tape.walk_errors tape ~jobs ~f:chain_error () in
+      Alcotest.(check bool)
+        (Printf.sprintf "walk total = fold_registered (jobs %d)" jobs)
+        true
+        (bits wt = bits total);
+      Alcotest.(check bool)
+        (Printf.sprintf "walk per-variable = fold_registered (jobs %d)" jobs)
+        true
+        (List.equal same_bits (by_name wv) (by_name per_var)))
+    [ 1; 3 ];
+  Alcotest.(check bool) "analyze total = fold_registered" true
+    (bits r1.Adapt.total_error = bits total);
+  (* A budget that trips in the middle of the third chunk. *)
+  let fit = (2 * c) + (c / 3) in
+  match
+    Adapt.analyze ~memory_budget:(fit * Tape.bytes_per_node) record_chain
+  with
+  | Ok _ -> Alcotest.fail "expected OOM"
+  | Error oom ->
+      Alcotest.(check int) "nodes at failure" fit oom.Adapt.nodes_at_failure
+
 let test_float_num_is_plain () =
   let module N = Num.Float_num in
   Alcotest.(check (float 0.)) "passthrough" 5.
@@ -187,6 +273,7 @@ let () =
           Alcotest.test_case "error attribution" `Quick
             test_error_model_attribution;
           Alcotest.test_case "float num" `Quick test_float_num_is_plain;
+          Alcotest.test_case "chunk boundaries" `Quick test_chunk_boundaries;
         ] );
       ( "cross-validation",
         [

@@ -184,6 +184,25 @@ let test_exit_codes () =
   Alcotest.(check int) "UNSOUND verdict" 1 code;
   Alcotest.(check bool) "verdict printed" true (contains out "UNSOUND")
 
+(* The daemon's wire format is the other outside entry point. A
+   request's [jobs] becomes the domain count of [Pool.parallel_map], so
+   it is clamped where it is decoded; nothing here runs the pool. *)
+let test_protocol_jobs_clamped () =
+  let jobs field =
+    match
+      Cheffp_server.Protocol.parse_request
+        (Printf.sprintf {|{"id": 1, "cmd": "analyze"%s}|} field)
+    with
+    | Ok r -> r.Cheffp_server.Protocol.jobs
+    | Error m -> Alcotest.fail m
+  in
+  let cores = Domain.recommended_domain_count () in
+  Alcotest.(check int) "absent" 1 (jobs "");
+  Alcotest.(check int) "500" cores (jobs {|, "jobs": 500|});
+  Alcotest.(check int) "0" 1 (jobs {|, "jobs": 0|});
+  Alcotest.(check int) "-3" 1 (jobs {|, "jobs": -3|});
+  Alcotest.(check int) "cores" cores (jobs (Printf.sprintf {|, "jobs": %d|} cores))
+
 let () =
   Alcotest.run "cli"
     [
@@ -201,4 +220,6 @@ let () =
           Alcotest.test_case "errors" `Quick test_errors_reported;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
         ] );
+      ( "protocol",
+        [ Alcotest.test_case "jobs clamped" `Quick test_protocol_jobs_clamped ] );
     ]

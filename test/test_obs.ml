@@ -581,8 +581,8 @@ let test_histogram_concurrent () =
 (* ------------------------------------------------------------------ *)
 (* Parallel ADAPT walk                                                *)
 
-(* Big enough that the tape spans several walk chunks, so jobs > 1
-   actually fans out (Tape.walk_chunk nodes per pool task). *)
+(* Big enough that the tape spans several chunks, so jobs > 1
+   actually fans out (one Tape.chunk_nodes chunk per pool task). *)
 let adapt_run tape =
   let module N = (val Adapt.num tape) in
   let open N in
