@@ -115,26 +115,6 @@ let load_any ~format path =
   end
   else (load path, None)
 
-(* Parse positional argument strings against the function signature. *)
-let parse_args func (raw : string list) =
-  let f p s =
-    match p.Ast.pty with
-    | Ast.Tscalar Ast.Sint -> Interp.Aint (int_of_string s)
-    | Ast.Tscalar (Ast.Sflt _) -> Interp.Aflt (float_of_string s)
-    | Ast.Tarr (Ast.Sflt _) ->
-        Interp.Afarr
-          (Array.of_list (List.map float_of_string (String.split_on_char ':' s)))
-    | Ast.Tarr Ast.Sint ->
-        Interp.Aiarr
-          (Array.of_list (List.map int_of_string (String.split_on_char ':' s)))
-  in
-  let params = List.filter (fun p -> p.Ast.pmode = Ast.In) func.Ast.params in
-  if List.length params <> List.length raw then
-    failwith
-      (Printf.sprintf "function %S expects %d arguments, got %d"
-         func.Ast.fname (List.length params) (List.length raw));
-  List.map2 f params raw
-
 let parse_config demote =
   List.fold_left
     (fun cfg spec ->
@@ -153,8 +133,8 @@ let resolve_args cores func (f : Ast.func) raw =
   | [], Some cs -> (
       match Fpcore_import.find cs func with
       | Some c -> c.Fpcore_import.default_args
-      | None -> parse_args f raw)
-  | _ -> parse_args f raw
+      | None -> Interp.parse_args f raw)
+  | _ -> Interp.parse_args f raw
 
 let model_of_string target = function
   | "taylor" -> Cheffp_core.Model.taylor ~target ()
@@ -475,7 +455,7 @@ let run_cmd =
     wrap (fun () ->
         let prog = load file in
         let f = func_exn prog func in
-        let args = parse_args f raw in
+        let args = Interp.parse_args f raw in
         let config = parse_config demote in
         let counter = Cost.Counter.create Cost.default in
         let r =
@@ -1392,7 +1372,7 @@ let sensitivity_cmd =
     wrap (fun () ->
         let prog = load file in
         let f = func_exn prog func in
-        let args = parse_args f raw in
+        let args = Interp.parse_args f raw in
         let track =
           match loop with Some name -> `Loop name | None -> `Outermost
         in

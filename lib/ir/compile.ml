@@ -797,6 +797,12 @@ let run ?counter ?sink:s t (args : Interp.arg list) : Interp.result =
     | Creturn_f x when Float.is_nan x && t.cfunc.ret = None -> None
     | Creturn_f x -> Some (Builtins.F x)
     | Creturn_i n -> Some (Builtins.I n)
+    | Invalid_argument m ->
+        (* slots index without checks: a bad array index or an empty
+           stack surfaces here, once per run *)
+        raise
+          (Interp.Runtime_error
+             (Printf.sprintf "%s in function %S" m t.cfunc.fname))
   in
   let outs =
     List.map

@@ -93,8 +93,11 @@ val run :
     run's metered costs, falling back to the compile-time [counter],
     else to a fresh private accumulator (charges dropped). [sink]
     receives the run's recordings; without one they go to an empty
-    sink, where [Record_total] and [Record_range] fail with
-    [Invalid_argument]. *)
+    sink, where [Record_total] and [Record_range] fail.
+    @raise Interp.Runtime_error naming the function when the run indexes
+    an array out of bounds, pops an empty stack or records into a sink
+    too small (the compiled code does not check each access; the
+    failure is caught once per run). *)
 
 val run_float :
   ?counter:Cheffp_precision.Cost.Counter.t ->

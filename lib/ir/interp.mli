@@ -7,7 +7,12 @@
     modelled cost of the run through a {!Cheffp_precision.Cost.Counter}
     including implicit-cast charges. This is the engine used to measure
     the "actual error" and modelled speedup of mixed-precision
-    configurations; the fast path for analysis runs is {!Compile}. *)
+    configurations; the fast path for analysis runs is {!Compile}.
+
+    It is written once, over a {!LANE}: a companion value carried beside
+    every float. {!run} is the instance whose lane carries nothing;
+    [Cheffp_shadow.Shadow] is the instance whose lane is a double-double
+    reference value. *)
 
 exception Runtime_error of string
 
@@ -21,6 +26,11 @@ val copy_args : arg list -> arg list
 (** Fresh copies of the array arguments (scalars are shared): a run may
     mutate its array arguments in place, so every run that must not see
     another's writes gets its own copy. *)
+
+val parse_args : Ast.func -> string list -> arg list
+(** Positional argument strings for the function's [In] parameters, in
+    order: an int, a float, or an array as its elements joined by [':'].
+    @raise Failure on a wrong argument count or an unparsable number. *)
 
 type result = {
   ret : Builtins.value option;
@@ -51,8 +61,9 @@ val run :
     [fuel] bounds the number of executed statements (negative, the
     default, means unlimited) — a guard for untrusted programs with
     runaway [while] loops.
-    @raise Runtime_error on arity/kind mismatches, undeclared names, or
-    fuel exhaustion. *)
+    @raise Runtime_error on arity/kind mismatches, undeclared names, an
+    out-of-bounds index (in a read, store, [push] or [pop]), a [pop]
+    from an empty value stack, or fuel exhaustion. *)
 
 val run_float :
   ?builtins:Builtins.t ->
@@ -66,3 +77,74 @@ val run_float :
   float
 (** Like {!run} but expects a float return value.
     @raise Runtime_error otherwise. *)
+
+(** {2 Lanes}
+
+    A lane decides what the interpreter carries beside each float and
+    sees every point where that companion value is made, combined,
+    stored or consulted. The interpreter owns everything else: scopes,
+    storage and Source/Extended rounding of the float itself, cost
+    metering, fuel, user calls, push/pop, argument preparation and
+    [out] parameters. Every discrete decision is taken from the float,
+    never from the lane. *)
+
+module type LANE = sig
+  type t
+  (** The companion value of one float. *)
+
+  type st
+  (** Per-run lane state. *)
+
+  val zero : t
+  (** Lane of a float variable or array element not yet assigned. *)
+
+  val of_float : float -> t
+  (** Lane of a float literal, and of a float input as the caller gave
+      it, before rounding to its storage format. *)
+
+  val of_int : int -> t
+  (** Lane of an int passed to a builtin or returned. *)
+
+  val neg : t -> t
+
+  val binop : Ast.binop -> t -> t -> t
+  (** [Add], [Sub], [Mul] or [Div] of two lanes. *)
+
+  val call : st -> string -> Builtins.value array -> t array -> float -> t
+  (** [call st name low_args lane_args x] is the lane of a float builtin
+      result: [low_args] went to the builtin, which returned [x] (before
+      any Source-mode rounding); [lane_args] are the arguments' lanes. *)
+
+  val store : st -> string -> float -> t -> unit
+  (** [store st name value lane] follows every float store and pop into
+      variable [name] (an array's name for its elements); [value] is the
+      stored float, after rounding. *)
+
+  val decide : st -> int -> unit
+  (** Every [if] and [while] outcome (0 or 1) and every int builtin
+      result, in execution order. *)
+end
+
+module Make (L : LANE) : sig
+  type result = {
+    ret : (Builtins.value * L.t) option;
+    outs : (string * Builtins.value * L.t) list;
+        (** [out] scalars in parameter order; an int's lane is
+            [L.of_int] of it *)
+    stack_peak_bytes : int;
+  }
+
+  val run :
+    ?builtins:Builtins.t ->
+    ?config:Cheffp_precision.Config.t ->
+    ?mode:Cheffp_precision.Config.rounding_mode ->
+    ?counter:Cheffp_precision.Cost.Counter.t ->
+    ?fuel:int ->
+    lane:L.st ->
+    prog:Ast.program ->
+    func:string ->
+    arg list ->
+    result
+  (** The interpreter of [Interp.run], carrying lane [L] with per-run
+      state [lane]. *)
+end

@@ -49,7 +49,8 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* CLI-equivalent helpers. These mirror bin/cheffp.ml exactly — same
    parsing, same defaults — which is what makes a server response
-   bit-identical to the corresponding one-shot invocation. *)
+   bit-identical to the corresponding one-shot invocation. Positional
+   arguments go through the parser both share, [Interp.parse_args]. *)
 
 let target_of s =
   match Fp.format_of_string s with
@@ -61,25 +62,6 @@ let model_of_string target = function
   | "adapt" -> Model.adapt ~target ()
   | "zero" -> Model.zero
   | other -> failwith ("unknown model " ^ other ^ " (taylor|adapt|zero)")
-
-let parse_args func (raw : string list) =
-  let f p s =
-    match p.Ast.pty with
-    | Ast.Tscalar Ast.Sint -> Interp.Aint (int_of_string s)
-    | Ast.Tscalar (Ast.Sflt _) -> Interp.Aflt (float_of_string s)
-    | Ast.Tarr (Ast.Sflt _) ->
-        Interp.Afarr
-          (Array.of_list (List.map float_of_string (String.split_on_char ':' s)))
-    | Ast.Tarr Ast.Sint ->
-        Interp.Aiarr
-          (Array.of_list (List.map int_of_string (String.split_on_char ':' s)))
-  in
-  let params = List.filter (fun p -> p.Ast.pmode = Ast.In) func.Ast.params in
-  if List.length params <> List.length raw then
-    failwith
-      (Printf.sprintf "function %S expects %d arguments, got %d" func.Ast.fname
-         (List.length params) (List.length raw));
-  List.map2 f params raw
 
 let parse_config demote =
   List.fold_left
@@ -136,7 +118,7 @@ let handle_analyze t (req : Protocol.request) =
       ~options:{ Estimate.default_options with track_ranges = true }
       ~prog ~func:req.func ()
   in
-  let args = parse_args f req.args in
+  let args = Interp.parse_args f req.args in
   let r = Estimate.run est args in
   ( Json.Obj
       [
@@ -152,7 +134,7 @@ let handle_tune t (req : Protocol.request) =
   let threshold = require_threshold req in
   let prog = load t req.program in
   let f = Ast.func_exn prog req.func in
-  let args = parse_args f req.args in
+  let args = Interp.parse_args f req.args in
   let target = target_of req.target in
   let profile =
     if req.profiled then
@@ -204,7 +186,7 @@ let handle_sample t (req : Protocol.request) =
   if req.samples < 1 then failwith "sample: \"samples\" must be >= 1";
   let prog = load t req.program in
   let f = Ast.func_exn prog req.func in
-  let args = parse_args f req.args in
+  let args = Interp.parse_args f req.args in
   let config = parse_config req.demote in
   let plan = sampling_plan req f args in
   let inputs =
@@ -241,7 +223,7 @@ let handle_search t (req : Protocol.request) =
   let threshold = require_threshold req in
   let prog = load t req.program in
   let f = Ast.func_exn prog req.func in
-  let args = parse_args f req.args in
+  let args = Interp.parse_args f req.args in
   let target = target_of req.target in
   let measure config =
     Shadow.measured_error
@@ -289,7 +271,7 @@ let handle_search t (req : Protocol.request) =
 let handle_validate t (req : Protocol.request) =
   let prog = load t req.program in
   let f = Ast.func_exn prog req.func in
-  let args = parse_args f req.args in
+  let args = Interp.parse_args f req.args in
   let config = parse_config req.demote in
   let mode =
     match req.mode with
@@ -328,7 +310,7 @@ let range_split_c = Metrics.counter "range.split"
 let handle_range t (req : Protocol.request) =
   let prog = load t req.program in
   let f = Ast.func_exn prog req.func in
-  let args = parse_args f req.args in
+  let args = Interp.parse_args f req.args in
   let target = target_of req.target in
   let box = Rbox.of_args ~func:f ~args () in
   let box =

@@ -1,16 +1,15 @@
-(* A lockstep fork of [Cheffp_ir.Interp]: the low lane reproduces the
-   interpreter's value semantics statement for statement (same rounding
-   points, same widening rules, same argument preparation), and every
-   float additionally carries a double-double shadow. Any change to
-   interp.ml's value semantics must be mirrored here — the test suite
-   pins the lanes together with bit-identity checks over the fuzzer. *)
+(* The shadow interpreter is [Cheffp_ir.Interp] itself, run with a
+   double-double lane ([Interp.Make (Lane)]): the interpreter computes
+   the low lane exactly as [Interp.run] does, and this file supplies
+   only what the reference needs on top — the dd arithmetic and builtin
+   table, the [select] pick, the [shadow.degraded] event, per-variable
+   divergence and the branch hash. *)
 
 open Cheffp_ir.Ast
 module Fp = Cheffp_precision.Fp
 module Config = Cheffp_precision.Config
 module Builtins = Cheffp_ir.Builtins
 module Interp = Cheffp_ir.Interp
-module Growable = Cheffp_util.Growable
 module Trace = Cheffp_obs.Trace
 
 let fail fmt = Format.kasprintf (fun s -> raise (Interp.Runtime_error s)) fmt
@@ -85,477 +84,101 @@ let default_dd_builtins : (string * dd_impl) list =
     ("castf32", fun a -> a.(0));
     ("castf16", fun a -> a.(0));
     ("itof", fun a -> a.(0));
-    ("select", fun a -> a.(0) (* replaced in eval: needs the condition *));
+    ("select", fun a -> a.(0) (* picked in [Lane.call]: needs the condition *));
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Run-time environment: interp.ml's cells, each float widened with a
-   shadow component. *)
+(* The double-double lane.                                            *)
 
-type fcell = { mutable f : float; fmt : Fp.format; mutable d : Dd.t }
-type icell = { mutable i : int }
-type farr = { a : float array; afmt : Fp.format; da : Dd.t array }
-type slot = Sf of fcell | Si of icell | Sfa of farr | Sia of int array
-
-module Scope = struct
-  type t = { mutable frames : (string, slot) Hashtbl.t list }
-
-  let create () = { frames = [ Hashtbl.create 16 ] }
-  let push t = t.frames <- Hashtbl.create 8 :: t.frames
-
-  let pop t =
-    match t.frames with
-    | _ :: (_ :: _ as rest) -> t.frames <- rest
-    | _ -> assert false
-
-  let find t name =
-    let rec go = function
-      | [] -> fail "undeclared variable %S" name
-      | frame :: rest -> (
-          match Hashtbl.find_opt frame name with
-          | Some s -> s
-          | None -> go rest)
-    in
-    go t.frames
-
-  let declare t name slot =
-    match t.frames with
-    | frame :: _ -> Hashtbl.replace frame name slot
-    | [] -> assert false
-end
-
-type state = {
-  prog : program;
+type lane = {
   builtins : Builtins.t;
   dd_builtins : (string, dd_impl) Hashtbl.t;
-  config : Config.t;
-  mode : Config.rounding_mode;
-  fstack : Growable.Float.t;
-  dstack : Dd.t Growable.t;
-  istack : int Growable.t;
   divergence : (string, float) Hashtbl.t;
   mutable branch_hash : int;
   mutable degraded : bool;
-  mutable fuel : int; (* negative = unlimited *)
 }
-
-exception Return_exn of (Builtins.value * Dd.t) option
-
-type ev = VI of int | VF of float * Fp.format * Dd.t
-
-let wider a b = if Fp.bits a >= Fp.bits b then a else b
-
-let hash_decision st n =
-  (* order-sensitive mixing; collisions only weaken a test heuristic *)
-  st.branch_hash <- (st.branch_hash * 31) + n land max_int
-
-let hash_float_decision st x = hash_decision st (Hashtbl.hash x)
-
-let record_divergence st name low dd =
-  let gap = Float.abs (low -. Dd.to_float dd) in
-  let gap = if Float.is_nan gap then 0.0 else gap in
-  match Hashtbl.find_opt st.divergence name with
-  | Some g when g >= gap -> ()
-  | _ -> Hashtbl.replace st.divergence name gap
-
-let float_binop st op a fa da b fb db =
-  let fmt = wider fa fb in
-  let raw =
-    match op with
-    | Add -> a +. b
-    | Sub -> a -. b
-    | Mul -> a *. b
-    | Div -> a /. b
-    | Mod -> fail "%% applied to floats"
-    | Eq | Ne | Lt | Le | Gt | Ge | And | Or -> assert false
-  in
-  let dd =
-    match op with
-    | Add -> Dd.add da db
-    | Sub -> Dd.sub da db
-    | Mul -> Dd.mul da db
-    | Div -> Dd.div da db
-    | _ -> assert false
-  in
-  match st.mode with
-  | Config.Source -> VF (Fp.round fmt raw, fmt, dd)
-  | Config.Extended -> VF (raw, Fp.F64, dd)
 
 let bool_of b = if b then 1 else 0
 
-let rec eval st scope e : ev =
-  match e with
-  | Fconst x -> VF (x, Fp.F64, Dd.of_float x)
-  | Iconst n -> VI n
-  | Var v -> (
-      match Scope.find scope v with
-      | Sf c -> VF (c.f, c.fmt, c.d)
-      | Si c -> VI c.i
-      | Sfa _ | Sia _ -> fail "array %S used as a scalar" v)
-  | Idx (a, i) -> (
-      let i = eval_int st scope i in
-      match Scope.find scope a with
-      | Sfa { a = arr; afmt = fmt; da } ->
-          if i < 0 || i >= Array.length arr then
-            fail "index %d out of bounds for %S (length %d)" i a
-              (Array.length arr);
-          VF (arr.(i), fmt, da.(i))
-      | Sia arr ->
-          if i < 0 || i >= Array.length arr then
-            fail "index %d out of bounds for %S (length %d)" i a
-              (Array.length arr);
-          VI arr.(i)
-      | Sf _ | Si _ -> fail "scalar %S indexed as an array" a)
-  | Unop (Neg, e) -> (
-      match eval st scope e with
-      | VI n -> VI (-n)
-      | VF (x, fmt, d) -> VF (-.x, fmt, Dd.neg d))
-  | Unop (Not, e) -> VI (bool_of (eval_int st scope e = 0))
-  | Binop (op, ea, eb) -> (
-      let va = eval st scope ea in
-      let vb = eval st scope eb in
-      match (op, va, vb) with
-      | (Add | Sub | Mul | Div | Mod), VI a, VI b -> (
-          match op with
-          | Add -> VI (a + b)
-          | Sub -> VI (a - b)
-          | Mul -> VI (a * b)
-          | Div ->
-              if b = 0 then fail "integer division by zero";
-              VI (a / b)
-          | Mod ->
-              if b = 0 then fail "integer modulo by zero";
-              VI (a mod b)
-          | _ -> assert false)
-      | (Add | Sub | Mul | Div), VF (a, fa, da), VF (b, fb, db) ->
-          float_binop st op a fa da b fb db
-      | (Eq | Ne | Lt | Le | Gt | Ge), VI a, VI b ->
-          VI
-            (bool_of
-               (match op with
-               | Eq -> a = b
-               | Ne -> a <> b
-               | Lt -> a < b
-               | Le -> a <= b
-               | Gt -> a > b
-               | Ge -> a >= b
-               | _ -> assert false))
-      | (Eq | Ne | Lt | Le | Gt | Ge), VF (a, _, _), VF (b, _, _) ->
-          (* decided by the low lane, like every discrete choice *)
-          VI
-            (bool_of
-               (match op with
-               | Eq -> a = b
-               | Ne -> a <> b
-               | Lt -> a < b
-               | Le -> a <= b
-               | Gt -> a > b
-               | Ge -> a >= b
-               | _ -> assert false))
-      | (And | Or), VI a, VI b ->
-          VI
-            (bool_of
-               (match op with
-               | And -> a <> 0 && b <> 0
-               | Or -> a <> 0 || b <> 0
-               | _ -> assert false))
-      | _ ->
-          fail "kind mismatch in %s"
-            (Cheffp_ir.Pp.expr_to_string (Binop (op, ea, eb))))
-  | Call (name, args) -> (
-      match Builtins.find st.builtins name with
-      | Some (_, impl) ->
-          let evs = List.map (eval st scope) args in
-          let widest =
-            List.fold_left
-              (fun acc ev ->
-                match ev with VF (_, f, _) -> wider acc f | VI _ -> acc)
-              (match st.mode with
-              | Config.Source -> Fp.F16
-              | Config.Extended -> Fp.F64)
-              evs
+(* Unknown (user-registered / approximate) builtin: degrade to binary64
+   — re-apply the low implementation to the shadow arguments rounded to
+   doubles. *)
+let degraded_call st name low args =
+  if not st.degraded then begin
+    st.degraded <- true;
+    if Trace.enabled () then
+      Trace.event ~attrs:[ ("builtin", Trace.Str name) ] "shadow.degraded"
+  end;
+  let low =
+    Array.mapi
+      (fun i v ->
+        match v with
+        | Builtins.I _ -> v
+        | Builtins.F _ -> Builtins.F (Dd.to_float args.(i)))
+      low
+  in
+  match Builtins.find st.builtins name with
+  | Some (_, impl) -> (
+      match impl low with
+      | Builtins.F x -> Dd.of_float x
+      | Builtins.I _ -> assert false)
+  | None -> assert false
+
+module Lane = struct
+  type t = Dd.t
+  type st = lane
+
+  let zero = Dd.zero
+  let of_float = Dd.of_float
+  let of_int = Dd.of_int
+  let neg = Dd.neg
+
+  let binop op a b =
+    match op with
+    | Add -> Dd.add a b
+    | Sub -> Dd.sub a b
+    | Mul -> Dd.mul a b
+    | Div -> Dd.div a b
+    | Mod | Eq | Ne | Lt | Le | Gt | Ge | And | Or -> assert false
+
+  let decide st n =
+    (* order-sensitive mixing; collisions only weaken a test heuristic *)
+    st.branch_hash <- (st.branch_hash * 31) + n land max_int
+
+  let store st name low dd =
+    let gap = Float.abs (low -. Dd.to_float dd) in
+    let gap = if Float.is_nan gap then 0.0 else gap in
+    match Hashtbl.find_opt st.divergence name with
+    | Some g when g >= gap -> ()
+    | _ -> Hashtbl.replace st.divergence name gap
+
+  let call st name low args x =
+    let dd =
+      match (name, low) with
+      | "select", [| c; _; _ |] ->
+          (* the condition is the low lane's, like every decision *)
+          let c =
+            match c with Builtins.I n -> n | Builtins.F _ -> fail "select: int"
           in
-          let widest =
-            match
-              List.exists (function VF _ -> true | VI _ -> false) evs
-            with
-            | true -> widest
-            | false -> Fp.F64
-          in
-          let vs =
-            List.map
-              (function VI n -> Builtins.I n | VF (x, _, _) -> Builtins.F x)
-              evs
-          in
-          (match impl (Array.of_list vs) with
-          | Builtins.I n ->
-              (* ftoi and friends: the discrete result comes from the low
-                 lane and is a decision worth fingerprinting. *)
-              hash_decision st n;
-              VI n
-          | Builtins.F x ->
-              let dd = dd_call st name evs vs in
-              (match name with
-              | "sign" | "floor" | "ceil" -> hash_float_decision st x
-              | "fmin" | "fmax" -> (
-                  match vs with
-                  | [ Builtins.F a; Builtins.F _ ] ->
-                      hash_decision st (bool_of (x = a))
-                  | _ -> ())
-              | _ -> ());
-              (match st.mode with
-              | Config.Source -> VF (Fp.round widest x, widest, dd)
-              | Config.Extended -> VF (x, Fp.F64, dd)))
-      | None -> (
-          let f = func_exn st.prog name in
-          match call_func st scope f args with
-          | Some (Builtins.I n, _) -> VI n
-          | Some (Builtins.F x, dd) -> VF (x, Fp.F64, dd)
-          | None -> fail "void function %S used in an expression" name))
+          decide st (bool_of (c <> 0));
+          if c <> 0 then args.(1) else args.(2)
+      | "select", _ -> fail "select expects 3 arguments"
+      | _ -> (
+          match Hashtbl.find_opt st.dd_builtins name with
+          | Some f -> f args
+          | None -> degraded_call st name low args)
+    in
+    (match (name, low) with
+    | ("sign" | "floor" | "ceil"), _ -> decide st (Hashtbl.hash x)
+    | ("fmin" | "fmax"), [| Builtins.F a; Builtins.F _ |] ->
+        decide st (bool_of (x = a))
+    | _ -> ());
+    dd
+end
 
-and dd_call st name evs vs =
-  match name with
-  | "select" -> (
-      match evs with
-      | [ cond; _; _ ] ->
-          let c = match cond with VI n -> n | VF _ -> fail "select: int" in
-          hash_decision st (bool_of (c <> 0));
-          let pick = if c <> 0 then List.nth evs 1 else List.nth evs 2 in
-          (match pick with
-          | VF (_, _, d) -> d
-          | VI n -> Dd.of_int n)
-      | _ -> fail "select expects 3 arguments")
-  | _ -> (
-      let dd_args =
-        Array.of_list
-          (List.map
-             (function VF (_, _, d) -> d | VI n -> Dd.of_int n)
-             evs)
-      in
-      match Hashtbl.find_opt st.dd_builtins name with
-      | Some f -> f dd_args
-      | None ->
-          (* Unknown (user-registered / approximate) builtin: degrade to
-             binary64 — re-apply the low implementation to the shadow
-             arguments rounded to doubles. *)
-          if not st.degraded then begin
-            st.degraded <- true;
-            if Trace.enabled () then
-              Trace.event ~attrs:[ ("builtin", Trace.Str name) ]
-                "shadow.degraded"
-          end;
-          let vs' =
-            List.map2
-              (fun v d ->
-                match v with
-                | Builtins.I _ -> v
-                | Builtins.F _ -> Builtins.F (Dd.to_float d))
-              vs
-              (Array.to_list dd_args)
-          in
-          (match Builtins.find st.builtins name with
-          | Some (_, impl) -> (
-              match impl (Array.of_list vs') with
-              | Builtins.F x -> Dd.of_float x
-              | Builtins.I _ -> assert false)
-          | None -> assert false))
-
-and eval_int st scope e =
-  match eval st scope e with
-  | VI n -> n
-  | VF _ ->
-      fail "expected an int, got a float in %s" (Cheffp_ir.Pp.expr_to_string e)
-
-and eval_float st scope e =
-  match eval st scope e with
-  | VF (x, fmt, d) -> (x, fmt, d)
-  | VI _ ->
-      fail "expected a float, got an int in %s" (Cheffp_ir.Pp.expr_to_string e)
-
-and store st scope lv ev =
-  match (Scope.find scope (lvalue_base lv), lv, ev) with
-  | Sf c, Lvar name, VF (x, _, d) ->
-      c.f <- Fp.round c.fmt x;
-      c.d <- d;
-      record_divergence st name c.f d
-  | Si c, Lvar _, VI n -> c.i <- n
-  | Sfa { a; afmt = fmt; da }, Lidx (name, ie), VF (x, _, d) ->
-      let i = eval_int st scope ie in
-      if i < 0 || i >= Array.length a then
-        fail "index %d out of bounds for %S (length %d)" i name (Array.length a);
-      a.(i) <- Fp.round fmt x;
-      da.(i) <- d;
-      record_divergence st name a.(i) d
-  | Sia a, Lidx (name, ie), VI n ->
-      let i = eval_int st scope ie in
-      if i < 0 || i >= Array.length a then
-        fail "index %d out of bounds for %S (length %d)" i name (Array.length a);
-      a.(i) <- n
-  | _, _, _ ->
-      fail "kind mismatch storing into %s"
-        (Format.asprintf "%a" Cheffp_ir.Pp.pp_lvalue lv)
-
-and exec st scope stmt =
-  if st.fuel = 0 then
-    fail "fuel exhausted (infinite loop? raise the fuel limit)";
-  if st.fuel > 0 then st.fuel <- st.fuel - 1;
-  match stmt with
-  | Decl { name; dty; init } -> (
-      match dty with
-      | Dscalar Sint ->
-          let c = Si { i = 0 } in
-          Scope.declare scope name c;
-          Option.iter
-            (fun e -> store st scope (Lvar name) (VI (eval_int st scope e)))
-            init
-      | Dscalar (Sflt _ as s) ->
-          let fmt = Interp.effective_format st.config s name in
-          Scope.declare scope name (Sf { f = 0.; fmt; d = Dd.zero });
-          Option.iter
-            (fun e ->
-              let x, vfmt, d = eval_float st scope e in
-              store st scope (Lvar name) (VF (x, vfmt, d)))
-            init
-      | Darr (Sint, size) ->
-          let n = eval_int st scope size in
-          if n < 0 then fail "array %S has negative size %d" name n;
-          Scope.declare scope name (Sia (Array.make n 0))
-      | Darr ((Sflt _ as s), size) ->
-          let n = eval_int st scope size in
-          if n < 0 then fail "array %S has negative size %d" name n;
-          let fmt = Interp.effective_format st.config s name in
-          Scope.declare scope name
-            (Sfa { a = Array.make n 0.; afmt = fmt; da = Array.make n Dd.zero }))
-  | Assign (lv, e) -> store st scope lv (eval st scope e)
-  | If (c, t, e) ->
-      let taken = eval_int st scope c <> 0 in
-      hash_decision st (bool_of taken);
-      exec_block st scope (if taken then t else e)
-  | For { var; lo; hi; down; body } ->
-      let lo = eval_int st scope lo and hi = eval_int st scope hi in
-      Scope.push scope;
-      let cell = { i = 0 } in
-      Scope.declare scope var (Si cell);
-      if down then
-        for i = hi - 1 downto lo do
-          cell.i <- i;
-          exec_block st scope body
-        done
-      else
-        for i = lo to hi - 1 do
-          cell.i <- i;
-          exec_block st scope body
-        done;
-      Scope.pop scope
-  | While (c, body) ->
-      let continue_ = ref (eval_int st scope c <> 0) in
-      hash_decision st (bool_of !continue_);
-      while !continue_ do
-        exec_block st scope body;
-        continue_ := eval_int st scope c <> 0;
-        hash_decision st (bool_of !continue_)
-      done
-  | Return None -> raise (Return_exn None)
-  | Return (Some e) ->
-      let v =
-        match eval st scope e with
-        | VI n -> (Builtins.I n, Dd.of_int n)
-        | VF (x, _, d) -> (Builtins.F x, d)
-      in
-      raise (Return_exn (Some v))
-  | Call_stmt (name, args) -> (
-      match Builtins.find st.builtins name with
-      | Some _ -> ignore (eval st scope (Call (name, args)))
-      | None ->
-          let f = func_exn st.prog name in
-          ignore (call_func st scope f args))
-  | Push lv -> (
-      match (Scope.find scope (lvalue_base lv), lv) with
-      | Sf c, Lvar _ ->
-          Growable.Float.push st.fstack c.f;
-          Growable.push st.dstack c.d
-      | Si c, Lvar _ -> Growable.push st.istack c.i
-      | Sfa { a; afmt = _; da }, Lidx (_, ie) ->
-          let i = eval_int st scope ie in
-          Growable.Float.push st.fstack a.(i);
-          Growable.push st.dstack da.(i)
-      | Sia a, Lidx (_, ie) -> Growable.push st.istack a.(eval_int st scope ie)
-      | _, _ -> fail "push: kind mismatch")
-  | Pop lv -> (
-      match (Scope.find scope (lvalue_base lv), lv) with
-      | Sf c, Lvar name ->
-          c.f <- Growable.Float.pop st.fstack;
-          c.d <- Growable.pop st.dstack;
-          record_divergence st name c.f c.d
-      | Si c, Lvar _ -> c.i <- Growable.pop st.istack
-      | Sfa { a; afmt = _; da }, Lidx (name, ie) ->
-          let i = eval_int st scope ie in
-          a.(i) <- Growable.Float.pop st.fstack;
-          da.(i) <- Growable.pop st.dstack;
-          record_divergence st name a.(i) da.(i)
-      | Sia a, Lidx (_, ie) -> a.(eval_int st scope ie) <- Growable.pop st.istack
-      | _, _ -> fail "pop: kind mismatch")
-
-and exec_block st scope stmts =
-  Scope.push scope;
-  List.iter (exec st scope) stmts;
-  Scope.pop scope
-
-and call_func st caller_scope f args =
-  if List.length args <> List.length f.params then
-    fail "function %S expects %d arguments, got %d" f.fname
-      (List.length f.params) (List.length args);
-  let callee = Scope.create () in
-  List.iter2
-    (fun p arg ->
-      let slot =
-        match (p.pmode, p.pty, arg) with
-        | Out, Tscalar _, Var v -> Scope.find caller_scope v
-        | Out, Tscalar _, _ ->
-            fail "out argument for %S must be a variable" f.fname
-        | In, Tscalar Sint, _ -> Si { i = eval_int st caller_scope arg }
-        | In, Tscalar (Sflt _ as s), _ ->
-            let fmt = Interp.effective_format st.config s p.pname in
-            let x, _, d = eval_float st caller_scope arg in
-            Sf { f = Fp.round fmt x; fmt; d }
-        | _, Tarr _, Var v -> Scope.find caller_scope v
-        | _, Tarr _, _ -> fail "array argument for %S must be a name" f.fname
-      in
-      Scope.declare callee p.pname slot)
-    f.params args;
-  try
-    List.iter (exec st callee) f.body;
-    None
-  with Return_exn v -> v
-
-(* ------------------------------------------------------------------ *)
+module Run = Interp.Make (Lane)
 
 let default_builtins = lazy (Builtins.create ())
-
-let prepare_args st scope f (args : Interp.arg list) =
-  if List.length args <> List.length f.params then
-    fail "function %S expects %d arguments, got %d" f.fname
-      (List.length f.params) (List.length args);
-  List.iter2
-    (fun p arg ->
-      let slot =
-        match (p.pty, arg) with
-        | Tscalar Sint, Interp.Aint n -> Si { i = n }
-        | Tscalar (Sflt _ as s), Interp.Aflt x ->
-            let fmt = Interp.effective_format st.config s p.pname in
-            (* the shadow seeds from the caller's unrounded value: input
-               representation error is part of the measured error *)
-            Sf { f = Fp.round fmt x; fmt; d = Dd.of_float x }
-        | Tarr (Sflt _ as s), Interp.Afarr a ->
-            let fmt = Interp.effective_format st.config s p.pname in
-            let da = Array.map Dd.of_float a in
-            if Fp.equal_format fmt Fp.F64 then Sfa { a; afmt = fmt; da }
-            else Sfa { a = Array.map (Fp.round fmt) a; afmt = fmt; da }
-        | Tarr Sint, Interp.Aiarr a -> Sia a
-        | _, _ -> fail "argument kind mismatch for parameter %S" p.pname
-      in
-      Scope.declare scope p.pname slot)
-    f.params args
 
 let measurement name low shadow =
   let abs_error =
@@ -566,8 +189,7 @@ let measurement name low shadow =
   let rel_error = if mag > 1e-30 then abs_error /. mag else abs_error in
   { name; low; shadow; abs_error; rel_error }
 
-let run ?builtins ?(dd_builtins = []) ?(config = Config.double)
-    ?(mode = Config.Source) ?(fuel = -1) ~prog ~func args =
+let run ?builtins ?(dd_builtins = []) ?config ?mode ?fuel ~prog ~func args =
   Trace.with_span "shadow.run" @@ fun () ->
   if Trace.enabled () then Trace.add_attr "func" (Trace.Str func);
   let builtins =
@@ -576,56 +198,36 @@ let run ?builtins ?(dd_builtins = []) ?(config = Config.double)
   let dd_tbl = Hashtbl.create 32 in
   List.iter
     (fun (n, f) -> Hashtbl.replace dd_tbl n f)
-    default_dd_builtins;
-  List.iter (fun (n, f) -> Hashtbl.replace dd_tbl n f) dd_builtins;
-  let st =
+    (default_dd_builtins @ dd_builtins);
+  let lane =
     {
-      prog;
       builtins;
       dd_builtins = dd_tbl;
-      config;
-      mode;
-      fstack = Growable.Float.create ();
-      dstack = Growable.create ~dummy:Dd.zero ();
-      istack = Growable.create ~dummy:0 ();
       divergence = Hashtbl.create 32;
       branch_hash = 0;
       degraded = false;
-      fuel;
     }
   in
-  let f = func_exn prog func in
-  let scope = Scope.create () in
-  prepare_args st scope f args;
-  let ret =
-    try
-      List.iter (exec st scope) f.body;
-      None
-    with Return_exn v -> v
-  in
+  let r = Run.run ~builtins ?config ?mode ?fuel ~lane ~prog ~func args in
   let ret, ret_int =
-    match ret with
+    match r.Run.ret with
     | Some (Builtins.F x, d) -> (Some (measurement "<ret>" x d), None)
     | Some (Builtins.I n, _) -> (None, Some n)
     | None -> (None, None)
   in
   let outs =
     List.filter_map
-      (fun p ->
-        match (p.pmode, p.pty) with
-        | Out, Tscalar _ -> (
-            match Scope.find scope p.pname with
-            | Sf c -> Some (measurement p.pname c.f c.d)
-            | Si _ | Sfa _ | Sia _ -> None)
-        | _, _ -> None)
-      f.params
+      (function
+        | name, Builtins.F x, d -> Some (measurement name x d)
+        | _, Builtins.I _, _ -> None)
+      r.Run.outs
   in
   let divergence =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.divergence []
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) lane.divergence []
     |> List.sort (fun (na, a) (nb, b) ->
            match Float.compare b a with 0 -> String.compare na nb | c -> c)
   in
-  { ret; ret_int; outs; divergence; branch_hash = st.branch_hash }
+  { ret; ret_int; outs; divergence; branch_hash = lane.branch_hash }
 
 let measured_error r =
   let m = match r.ret with Some m -> m.abs_error | None -> 0.0 in

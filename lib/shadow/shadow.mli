@@ -1,13 +1,15 @@
-(** Lockstep shadow execution: the ground-truth side of the oracle.
+(** Shadow execution: the ground-truth side of the oracle.
 
-    [run] interprets a MiniFP function once, carrying {e two} values per
-    float: the "low lane" — a binary64 rounded exactly like
-    {!Cheffp_ir.Interp} under the given {!Cheffp_precision.Config} and
-    rounding mode (bit-identical, asserted by the test suite) — and a
-    "shadow lane" in ~106-bit double-double ({!Dd}) that is never
-    rounded except where the program itself demands an integer (and at
-    the explicit [castf32]/[castf16] intrinsics, which the shadow lane
-    treats as identity: the reference is real-valued execution).
+    [run] is {!Cheffp_ir.Interp} itself, instantiated with a
+    double-double lane ([Interp.Make]): it interprets a MiniFP function
+    once, carrying {e two} values per float. The "low lane" is the
+    interpreter's own binary64 value, rounded under the given
+    {!Cheffp_precision.Config} and rounding mode exactly as
+    [Interp.run] rounds it. The "shadow lane" is a ~106-bit
+    double-double ({!Dd}) that is never rounded except where the
+    program itself demands an integer (and at the explicit
+    [castf32]/[castf16] intrinsics, which the shadow lane treats as
+    identity: the reference is real-valued execution).
 
     Control flow, float→int conversion, and every other discrete
     decision are taken from the low lane, so the two lanes can never
@@ -67,7 +69,7 @@ val run :
   func:string ->
   Interp.arg list ->
   result
-(** Mirrors [Interp.run]'s signature and semantics on the low lane
+(** [Interp.run]'s signature and semantics on the low lane
     (including demoted-input-array copy-rounding; the shadow lane seeds
     from the caller's unrounded values, so measured error includes
     input representation error, matching the estimate's per-variable

@@ -1,0 +1,196 @@
+(* Golden digests of the MiniFP interpreter's two instances.
+
+   [Interp.run] (the plain binary64 lane) and [Shadow.run] (the same
+   interpreter carrying a double-double lane) must keep their exact
+   results. One line per program: its name, the MD5 of its Interp dump
+   and the MD5 of its Shadow dump. Each dump covers the program under
+   binary64, uniform binary32, uniform binary16 and one variable demoted
+   to binary32, each in Source and Extended rounding mode; generated
+   programs add their seeded configuration. Values print with [%h], so
+   one changed bit changes the digest.
+
+   - Interp dump: the return value, the [out] parameters, the final
+     contents of the array arguments, [stack_peak_bytes], and the cost
+     counter's total and cast count.
+   - Shadow dump: every measurement (low value, dd [hi]/[lo], absolute
+     and relative error), [ret_int], the per-variable divergence and
+     [branch_hash].
+
+   Programs: the FPCore corpus kernels at their [:pre] midpoints, the
+   reverse-mode adjoints of those kernels, the five paper programs at
+   small sizes, and seeded generated mixed-precision programs with
+   their adjoints.
+
+   The output is diffed against interp_digest.expected by
+   [dune runtest]; an intentional change to interpreter results is
+   promoted with [dune promote] and explained in the change log. *)
+
+open Cheffp_ir
+module B = Cheffp_benchmarks
+module Config = Cheffp_precision.Config
+module Fp = Cheffp_precision.Fp
+module Cost = Cheffp_precision.Cost
+module Shadow = Cheffp_shadow.Shadow
+module Dd = Cheffp_shadow.Dd
+module Reverse = Cheffp_ad.Reverse
+
+let fuel = 2_000_000
+
+let value b = function
+  | Builtins.F x -> Printf.bprintf b "F %h" x
+  | Builtins.I n -> Printf.bprintf b "I %d" n
+
+let arrays b args =
+  List.iter
+    (function
+      | Interp.Afarr a -> Array.iter (Printf.bprintf b " %h") a
+      | Interp.Aiarr a -> Array.iter (Printf.bprintf b " %d") a
+      | Interp.Aint _ | Interp.Aflt _ -> ())
+    args
+
+let interp_dump b ~config ~mode ~prog ~func args =
+  let counter = Cost.Counter.create Cost.default in
+  let args = Interp.copy_args args in
+  match Interp.run ~config ~mode ~counter ~fuel ~prog ~func args with
+  | r ->
+      Buffer.add_string b "ret ";
+      (match r.Interp.ret with
+      | Some v -> value b v
+      | None -> Buffer.add_string b "none");
+      List.iter
+        (fun (n, v) ->
+          Printf.bprintf b " %s=" n;
+          value b v)
+        r.Interp.outs;
+      Buffer.add_string b " arrays";
+      arrays b args;
+      Printf.bprintf b " peak %d cost %h casts %d\n" r.Interp.stack_peak_bytes
+        (Cost.Counter.total counter)
+        (Cost.Counter.casts counter)
+  | exception Interp.Runtime_error m -> Printf.bprintf b "error %S\n" m
+
+let measurement b (m : Shadow.measurement) =
+  Printf.bprintf b " %s low %h hi %h lo %h abs %h rel %h" m.Shadow.name
+    m.Shadow.low m.Shadow.shadow.Dd.hi m.Shadow.shadow.Dd.lo
+    m.Shadow.abs_error m.Shadow.rel_error
+
+let shadow_dump b ~config ~mode ~prog ~func args =
+  let args = Interp.copy_args args in
+  match Shadow.run ~config ~mode ~fuel ~prog ~func args with
+  | r ->
+      Buffer.add_string b "ms";
+      Option.iter (measurement b) r.Shadow.ret;
+      List.iter (measurement b) r.Shadow.outs;
+      (match r.Shadow.ret_int with
+      | Some n -> Printf.bprintf b " ret_int %d" n
+      | None -> ());
+      Buffer.add_string b " div";
+      List.iter
+        (fun (n, g) -> Printf.bprintf b " %s=%h" n g)
+        r.Shadow.divergence;
+      Buffer.add_string b " arrays";
+      arrays b args;
+      Printf.bprintf b " hash %d\n" r.Shadow.branch_hash
+  | exception Interp.Runtime_error m -> Printf.bprintf b "error %S\n" m
+
+(* The first float variable of [f]: a parameter, else a top-level local. *)
+let first_float_var (f : Ast.func) =
+  let param (p : Ast.param) =
+    match p.Ast.pty with
+    | Ast.Tscalar (Ast.Sflt _) | Ast.Tarr (Ast.Sflt _) -> Some p.Ast.pname
+    | _ -> None
+  in
+  let local = function
+    | Ast.Decl
+        { name; dty = Ast.Dscalar (Ast.Sflt _) | Ast.Darr (Ast.Sflt _, _); _ } ->
+        Some name
+    | _ -> None
+  in
+  match List.find_map param f.Ast.params with
+  | Some v -> Some v
+  | None -> List.find_map local f.Ast.body
+
+let configs ?(extra = []) (f : Ast.func) =
+  [
+    ("f64", Config.double);
+    ("f32", Config.uniform Fp.F32);
+    ("f16", Config.uniform Fp.F16);
+  ]
+  @ (match first_float_var f with
+    | Some v -> [ ("demote " ^ v, Config.demote Config.double v Fp.F32) ]
+    | None -> [])
+  @ extra
+
+let line ?extra name ~prog ~func args =
+  let f = Ast.func_exn prog func in
+  let bi = Buffer.create 4096 and bs = Buffer.create 4096 in
+  List.iter
+    (fun (cname, config) ->
+      List.iter
+        (fun (mname, mode) ->
+          let tag = Printf.sprintf "%s %s: " cname mname in
+          Buffer.add_string bi tag;
+          interp_dump bi ~config ~mode ~prog ~func args;
+          Buffer.add_string bs tag;
+          shadow_dump bs ~config ~mode ~prog ~func args)
+        [ ("source", Config.Source); ("extended", Config.Extended) ])
+    (configs ?extra f);
+  Printf.printf "%s %s %s\n" name
+    (Digest.to_hex (Digest.string (Buffer.contents bi)))
+    (Digest.to_hex (Digest.string (Buffer.contents bs)))
+
+(* The adjoint of [func], run at [args] with zeroed derivative outputs
+   (one per float parameter, in parameter order). *)
+let adjoint ?extra name ~prog ~func args =
+  let f = Ast.func_exn prog func in
+  match Reverse.differentiate prog func with
+  | exception Reverse.Error m -> Printf.printf "%s error %S\n" name m
+  | g ->
+      let zeros =
+        List.filter_map
+          (fun ((p : Ast.param), arg) ->
+            match (p.Ast.pty, arg) with
+            | Ast.Tscalar (Ast.Sflt _), _ -> Some (Interp.Aflt 0.)
+            | Ast.Tarr (Ast.Sflt _), Interp.Afarr a ->
+                Some (Interp.Afarr (Array.make (Array.length a) 0.))
+            | _ -> None)
+          (List.combine f.Ast.params args)
+      in
+      line ?extra name ~prog:(Ast.add_func prog g) ~func:g.Ast.fname
+        (args @ zeros)
+
+let generated_cases = 200
+
+let () =
+  List.iter
+    (fun (e : B.Corpus.entry) ->
+      let c = e.B.Corpus.core in
+      let name = Filename.basename e.B.Corpus.path in
+      let func = c.Cheffp_fpcore.Import.func.Ast.fname in
+      let args = c.Cheffp_fpcore.Import.default_args in
+      line name ~prog:e.B.Corpus.prog ~func args;
+      adjoint (name ^ " adjoint") ~prog:e.B.Corpus.prog ~func args)
+    (B.Corpus.load ());
+  line "arclength" ~prog:B.Arclength.program ~func:B.Arclength.func_name
+    (B.Arclength.args ~n:100);
+  line "simpsons" ~prog:B.Simpsons.program ~func:B.Simpsons.func_name
+    (B.Simpsons.args ~a:0. ~b:Float.pi ~n:100);
+  line "kmeans" ~prog:B.Kmeans.program ~func:B.Kmeans.func_name
+    (B.Kmeans.args (B.Kmeans.generate ~npoints:40 ()));
+  line "hpccg" ~prog:B.Hpccg.program ~func:B.Hpccg.func_name
+    (B.Hpccg.args (B.Hpccg.generate ~nx:3 ~ny:3 ~nz:3 ~max_iter:4 ()));
+  line "blackscholes"
+    ~prog:(B.Blackscholes.program B.Blackscholes.Exact)
+    ~func:B.Blackscholes.func_name
+    (B.Blackscholes.args (B.Blackscholes.generate ~n:16 ()));
+  for seed = 0 to generated_cases - 1 do
+    let rand = Random.State.make [| seed |] in
+    let prog = QCheck.Gen.generate1 ~rand Gen_minifp.gen_mixed_program in
+    let config = QCheck.Gen.generate1 ~rand Gen_minifp.gen_config in
+    let x, y = QCheck.Gen.generate1 ~rand Gen_minifp.gen_inputs in
+    let args = [ Interp.Aflt x; Interp.Aflt y; Interp.Aint 4 ] in
+    let extra = [ ("seeded", config) ] in
+    line ~extra (Printf.sprintf "gen%03d" seed) ~prog ~func:"fuzz" args;
+    adjoint ~extra (Printf.sprintf "gen%03d adjoint" seed) ~prog ~func:"fuzz"
+      args
+  done

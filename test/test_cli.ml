@@ -27,12 +27,14 @@ func looped(x: f64, n: int): f64 {
 }
 |}
 
-let with_temp_file f =
+let with_source source f =
   let path = Filename.temp_file "cheffp_cli" ".mfp" in
   let oc = open_out path in
   output_string oc source;
   close_out oc;
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let with_temp_file f = with_source source f
 
 (* Runs the binary, returns (exit code, combined output). *)
 let run_cli args =
@@ -184,6 +186,33 @@ let test_exit_codes () =
   Alcotest.(check int) "UNSOUND verdict" 1 code;
   Alcotest.(check bool) "verdict printed" true (contains out "UNSOUND")
 
+(* A program that fails at run time is an input error (exit 2) with a
+   message, in every command: never an escaped exception (125). *)
+let expect_input_error src cmds =
+  with_source src (fun path ->
+      List.iter
+        (fun cmd ->
+          let extra = if cmd = "tune" then [ "--threshold"; "1e-6" ] else [] in
+          let code, out =
+            run_cli ([ cmd; path; "--func"; "f" ] @ extra @ [ "1.0" ])
+          in
+          Alcotest.(check int) (cmd ^ ": " ^ src) 2 code;
+          Alcotest.(check bool) (cmd ^ " reports no exception") false
+            (contains out "exception"))
+        cmds)
+
+let test_push_pop_errors () =
+  expect_input_error
+    "func f(x: f64): f64 { var a: f64[2]; push a[5]; return x; }"
+    [ "run"; "validate" ];
+  expect_input_error "func f(x: f64): f64 { var y: f64 = x; pop y; return y; }"
+    [ "run"; "validate" ]
+
+let test_compiled_bounds_error () =
+  expect_input_error
+    "func f(x: f64): f64 { var a: f64[2]; a[0] = x; return a[3] + x; }"
+    [ "run"; "validate"; "analyze"; "tune" ]
+
 (* The daemon's wire format is the other outside entry point. A
    request's [jobs] becomes the domain count of [Pool.parallel_map], so
    it is clamped where it is decoded; nothing here runs the pool. *)
@@ -219,6 +248,9 @@ let () =
           Alcotest.test_case "sensitivity" `Quick test_sensitivity;
           Alcotest.test_case "errors" `Quick test_errors_reported;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
+          Alcotest.test_case "push/pop errors" `Quick test_push_pop_errors;
+          Alcotest.test_case "compiled bounds error" `Quick
+            test_compiled_bounds_error;
         ] );
       ( "protocol",
         [ Alcotest.test_case "jobs clamped" `Quick test_protocol_jobs_clamped ] );

@@ -400,6 +400,29 @@ let test_interp_push_pop () =
          }|}
        "f" [])
 
+(* A bad index or an empty stack is a located runtime error, never an
+   escaped [Invalid_argument]. *)
+let test_interp_push_pop_errors () =
+  let raises src expected =
+    match run_f src "f" [ Interp.Aflt 1. ] with
+    | _ -> Alcotest.failf "no error from %s" src
+    | exception Interp.Runtime_error m ->
+        Alcotest.(check string) src expected m
+  in
+  raises "func f(x: f64): f64 { var a: f64[2]; push a[5]; return x; }"
+    {|index 5 out of bounds for "a" (length 2)|};
+  raises "func f(x: f64): f64 { var k: int[2]; push k[-1]; return x; }"
+    {|index -1 out of bounds for "k" (length 2)|};
+  raises
+    "func f(x: f64): f64 { var a: f64[2]; push x; pop a[2]; return x; }"
+    {|index 2 out of bounds for "a" (length 2)|};
+  raises "func f(x: f64): f64 { var y: f64 = x; pop y; return y; }"
+    "pop into y: the value stack is empty";
+  raises "func f(x: f64): f64 { var n: int = 1; pop n; return x; }"
+    "pop into n: the value stack is empty";
+  raises "func f(x: f64): f64 { var a: f64[2]; pop a[1]; return x; }"
+    "pop into a[1]: the value stack is empty"
+
 let test_interp_intrinsics () =
   check_float "sin" (sin 0.5) (run_f "func f(): f64 { return sin(0.5); }" "f" []);
   check_float "pow" 8. (run_f "func f(): f64 { return pow(2.0, 3.0); }" "f" []);
@@ -1247,6 +1270,8 @@ let () =
           Alcotest.test_case "out params" `Quick test_interp_out_params;
           Alcotest.test_case "user calls" `Quick test_interp_user_calls;
           Alcotest.test_case "push/pop" `Quick test_interp_push_pop;
+          Alcotest.test_case "push/pop errors" `Quick
+            test_interp_push_pop_errors;
           Alcotest.test_case "fuel" `Quick test_interp_fuel;
           Alcotest.test_case "intrinsics" `Quick test_interp_intrinsics;
           Alcotest.test_case "mixed precision" `Quick
