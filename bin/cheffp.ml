@@ -216,6 +216,18 @@ let wrap f =
       | Fpcore_import.Error m | Fpcore_export.Error m | Sys_error m ) ->
       fail exit_input m
 
+(* A compiled run's failure names the generated function and gives no
+   index: compiled slots carry no names. On such a failure, a pristine
+   copy of the arguments re-runs through the interpreter on the source
+   function, whose message is located ([Interp.locate]). *)
+let located ~prog ~func args f =
+  let pristine = Interp.copy_args args in
+  try f ()
+  with Interp.Runtime_error m ->
+    raise
+      (Interp.Runtime_error
+         (Interp.locate ~builtins:(builtins ()) ~prog ~func pristine m))
+
 let func_exn prog name =
   match Ast.find_func prog name with
   | Some f -> f
@@ -520,6 +532,7 @@ let analyze_cmd =
           print_endline (Pp.func_to_string (Cheffp_core.Estimate.generated est))
         end;
         let args = resolve_args cores func f raw in
+        located ~prog ~func args @@ fun () ->
         let r = Cheffp_core.Estimate.run est args in
         Printf.printf "model: %s\n" model.Cheffp_core.Model.model_name;
         print_string (Cheffp_core.Report.estimate r);
@@ -564,6 +577,7 @@ let tune_cmd =
         let f = func_exn prog func in
         let args = resolve_args cores func f raw in
         let target = target_of target in
+        located ~prog ~func args @@ fun () ->
         let profile =
           if profiled then
             Some
@@ -681,10 +695,11 @@ let search_cmd =
                 Some (Range.pruner a ~target)
         in
         let o =
-          Cheffp_core.Search.tune ~target ~builtins:(builtins ()) ~jobs
-            ~strategy:(strategy_of strategy) ~prune_margin ?prune_bound
-            ?batch:(batch_of ~batch ~no_batch) ?sampling ~measure ~prog ~func
-            ~args ~threshold ()
+          located ~prog ~func args (fun () ->
+              Cheffp_core.Search.tune ~target ~builtins:(builtins ()) ~jobs
+                ~strategy:(strategy_of strategy) ~prune_margin ?prune_bound
+                ?batch:(batch_of ~batch ~no_batch) ?sampling ~measure ~prog
+                ~func ~args ~threshold ())
         in
         print_string (Cheffp_core.Report.search o))
   in
@@ -1387,7 +1402,9 @@ let sensitivity_cmd =
               }
             ~prog ~func ()
         in
-        let r = Cheffp_core.Estimate.run est args in
+        let r =
+          located ~prog ~func args (fun () -> Cheffp_core.Estimate.run est args)
+        in
         if r.Cheffp_core.Estimate.per_iteration = [] then
           print_endline "(no per-iteration records: is there a loop?)"
         else begin

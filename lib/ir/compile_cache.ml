@@ -376,6 +376,29 @@ let stats () =
 let shard_sizes () =
   Array.map (fun s -> locked s (fun () -> (Hashtbl.length s.table, s.cap))) pool
 
+(* Unlinks every entry whose registry is [b] (physical identity), shard
+   by shard. Dropped entries are not evictions: nothing pushed them
+   out, their owner retired them. *)
+let drop_builtins b =
+  Array.iter
+    (fun s ->
+      locked s (fun () ->
+          let rec walk = function
+            | None -> ()
+            | Some e ->
+                let next = e.next in
+                (match fst e.value with
+                | Some b' when b' == b ->
+                    unlink s e;
+                    Hashtbl.remove s.table e.key;
+                    ignore (Atomic.fetch_and_add total_size (-1))
+                | Some _ | None -> ());
+                walk next
+          in
+          walk s.head))
+    pool;
+  sync_size ()
+
 let reset_stats () =
   Metrics.set_counter hits_c 0;
   Metrics.set_counter misses_c 0;

@@ -47,7 +47,8 @@
     server cannot grow the cache without bound. {!set_max_entries}
     resizes {e atomically per shard}: each shard's new capacity is
     installed and enforced under that shard's own lock while lookups
-    on other shards proceed. {!clear} empties the table explicitly.
+    on other shards proceed. {!clear} empties the table explicitly,
+    and {!drop_builtins} drops one registry's entries.
 
     {b Observability} (DESIGN.md §9/§13): lookups, hits, misses and
     evictions are registry counters ([compile_cache.lookups] /
@@ -64,7 +65,8 @@
 type artifact = ..
 (** What the table stores. Extensible so layers above [ir] can memoize
     their own expensive derived artifacts (e.g. [Core.Profile]'s
-    error-atom profiles) through the same sharded LRU, locks and
+    error-atom profiles, the server's parsed programs and analyses)
+    through the same sharded LRU, locks and
     statistics — add a constructor, pick a kind-prefixed key, call
     {!lookup_or}. *)
 
@@ -195,6 +197,16 @@ val set_max_entries : int -> unit
 val reset_stats : unit -> unit
 (** Zero [hits], [misses], [evictions] and [lookups] without dropping
     cached entries. *)
+
+val drop_builtins : Builtins.t -> unit
+(** [drop_builtins b] drops every entry compiled against the registry
+    [b] (physical equality, as for hits). Entries of other registries,
+    and of none, stay; the
+    statistics are untouched (a drop is not an eviction). The server
+    calls it once its requests have drained, so a stopped daemon's
+    entries do not occupy the shared bound until they are evicted.
+    Shard by shard, like {!clear}: meant for the point where no
+    lookup against [b] is in flight. *)
 
 val clear : unit -> unit
 (** Drop every entry and zero the statistics (shard by shard; not

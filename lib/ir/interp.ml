@@ -606,3 +606,8 @@ let run_float ?builtins ?config ?mode ?counter ?fuel ~prog ~func args =
   | Some (Builtins.F x) -> x
   | Some (Builtins.I _) -> fail "function %S returned an int" func
   | None -> fail "function %S returned no value" func
+
+let locate ?builtins ~prog ~func args msg =
+  match run ?builtins ~prog ~func args with
+  | _ -> msg
+  | exception Runtime_error located -> located

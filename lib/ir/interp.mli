@@ -78,6 +78,24 @@ val run_float :
 (** Like {!run} but expects a float return value.
     @raise Runtime_error otherwise. *)
 
+val locate :
+  ?builtins:Builtins.t ->
+  prog:Ast.program ->
+  func:string ->
+  arg list ->
+  string ->
+  string
+(** [locate ~prog ~func args msg] names the source of a compiled run's
+    failure. A compiled run that fails reports [msg], which names the
+    generated function and gives no index (compiled slots carry no
+    names). [locate] re-runs the source function [func] on [args]
+    through this interpreter, in double precision, and returns the
+    message that run raises, such as
+    [index 3 out of bounds for "a" (length 2)], or [msg] when it
+    succeeds. Pass a pristine copy of the failing run's arguments: a
+    run mutates its array arguments in place. Called only after a
+    failure, so successful runs pay nothing. *)
+
 (** {2 Lanes}
 
     A lane decides what the interpreter carries beside each float and

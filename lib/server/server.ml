@@ -4,7 +4,9 @@
    {!Cheffp_util.Pool.Shared} domain pool. Handlers run the same code
    paths as the CLI subcommands on a single long-lived builtins/deriv
    registry pair, so results are bit-identical to one-shot runs and
-   compilations cached by one request are hits for every later one. *)
+   compilations cached by one request are hits for every later one.
+   The daemon also caches its own work in the compile cache: the parsed
+   program of each request text and the analysis of each [analyze]. *)
 
 open Cheffp_ir
 module Config = Cheffp_precision.Config
@@ -88,14 +90,39 @@ let require_threshold (req : Protocol.request) =
   | None ->
       failwith (Protocol.cmd_name req.cmd ^ ": missing \"threshold\" field")
 
-(* Args are parsed fresh per request — [Interp.Afarr] buffers are
-   mutated in place by runs, so they must never be shared. *)
-let load t src =
+(* The daemon's own entries in the compile cache, scoped to its
+   registry like every other entry: the parsed, typechecked program of
+   a request text, and an [analyze] request's analysis. *)
+type Compile_cache.artifact +=
+  | Program of Ast.program
+  | Analysis of Estimate.t
+
+(* A request text is parsed and typechecked once per daemon: the
+   program is cached under the MD5 of the text, and every request on
+   the same text shares it (programs are immutable once parsed). A
+   parse or type error raises out of [build], so it is never cached.
+   Returns the text's digest too, for keys derived from it. Args are
+   parsed fresh per request — [Interp.Afarr] buffers are mutated in
+   place by runs, so they must never be shared. *)
+let load_text t src =
   if String.trim src = "" then failwith "missing \"program\" field";
-  let prog = Trace.with_span "parse" (fun () -> Parser.parse_program src) in
-  Trace.with_span "typecheck" (fun () ->
-      Typecheck.check_program ~builtins:t.builtins prog);
-  prog
+  let digest = Digest.to_hex (Digest.string src) in
+  let prog =
+    Compile_cache.lookup_or ~key:("program|" ^ digest) ~label:"program"
+      ~builtins:(Some t.builtins)
+      ~select:(function Program p -> Some p | _ -> None)
+      ~inject:(fun p -> Program p)
+      ~build:(fun () ->
+        let prog =
+          Trace.with_span "parse" (fun () -> Parser.parse_program src)
+        in
+        Trace.with_span "typecheck" (fun () ->
+            Typecheck.check_program ~builtins:t.builtins prog);
+        prog)
+  in
+  (digest, prog)
+
+let load t src = snd (load_text t src)
 
 (* ------------------------------------------------------------------ *)
 (* Handlers: each returns (structured result, rendered report). *)
@@ -108,15 +135,29 @@ let pairs l =
 
 let strings l = Json.List (List.map (fun s -> Json.Str s) l)
 
+(* The analysis (AD, error injection, optimisation, typecheck and
+   compile) is built once per (text, func, model, target): the handler
+   fixes the options, the registry and the derivative table, so that
+   key is complete. Keying on the text digest keeps pretty-printing out
+   of the miss path. [Estimate.run] records into a sink of its own, so
+   concurrent requests share one analysis. *)
 let handle_analyze t (req : Protocol.request) =
-  let prog = load t req.program in
+  let digest, prog = load_text t req.program in
   let f = Ast.func_exn prog req.func in
   let target = target_of req.target in
   let model = model_of_string target req.model in
   let est =
-    Estimate.estimate_error ~model ~deriv:t.deriv ~builtins:t.builtins
-      ~options:{ Estimate.default_options with track_ranges = true }
-      ~prog ~func:req.func ()
+    Compile_cache.lookup_or
+      ~key:
+        (Printf.sprintf "analysis|%s|%s|%s|%s" digest req.func
+           model.Model.model_name (Fp.format_to_string target))
+      ~label:req.func ~builtins:(Some t.builtins)
+      ~select:(function Analysis e -> Some e | _ -> None)
+      ~inject:(fun e -> Analysis e)
+      ~build:(fun () ->
+        Estimate.estimate_error ~model ~deriv:t.deriv ~builtins:t.builtins
+          ~options:{ Estimate.default_options with track_ranges = true }
+          ~prog ~func:req.func ())
   in
   let args = Interp.parse_args f req.args in
   let r = Estimate.run est args in
@@ -589,6 +630,20 @@ let handle_traces (req : Protocol.request) =
     Printf.sprintf "%d slow trace(s), %d error trace(s) retained\n"
       (List.length slow) (List.length errors) )
 
+(* A compiled run's failure names the generated function and gives no
+   index. The request's arguments, parsed afresh from its strings (so
+   pristine), re-run through the interpreter on the source function,
+   whose message is located ([Interp.locate]). [load] and [parse_args]
+   succeeded before any run could fail, and [load] is now a hit. *)
+let located t (req : Protocol.request) handle =
+  try handle t req
+  with Interp.Runtime_error m ->
+    let prog = load t req.program in
+    let args = Interp.parse_args (Ast.func_exn prog req.func) req.args in
+    raise
+      (Interp.Runtime_error
+         (Interp.locate ~builtins:t.builtins ~prog ~func:req.func args m))
+
 let dispatch t (req : Protocol.request) =
   match req.cmd with
   | Protocol.Ping -> (Json.Obj [ ("pong", Json.Bool true) ], "pong\n")
@@ -608,10 +663,10 @@ let dispatch t (req : Protocol.request) =
   | Protocol.Shutdown ->
       request_stop t;
       (Json.Obj [ ("stopping", Json.Bool true) ], "stopping\n")
-  | Protocol.Analyze -> handle_analyze t req
-  | Protocol.Tune -> handle_tune t req
-  | Protocol.Search -> handle_search t req
-  | Protocol.Sample -> handle_sample t req
+  | Protocol.Analyze -> located t req handle_analyze
+  | Protocol.Tune -> located t req handle_tune
+  | Protocol.Search -> located t req handle_search
+  | Protocol.Sample -> located t req handle_sample
   | Protocol.Validate -> handle_validate t req
   | Protocol.Range -> handle_range t req
 
@@ -689,6 +744,65 @@ let execute t (req : Protocol.request) ~enqueued =
   | Error msg -> Protocol.error_response ~id:req.id msg
 
 (* ------------------------------------------------------------------ *)
+(* Request lines are read through a bounded reader, so one client
+   cannot grow the daemon's heap without limit: a line longer than
+   [max_request_bytes] gets an error response naming the limit, and its
+   connection is closed. 16 MiB is far above any program in the
+   repository (the largest is a few KiB). *)
+
+let max_request_bytes = 16 * 1024 * 1024
+
+exception Line_too_long
+
+type reader = {
+  rfd : Unix.file_descr;
+  chunk : Bytes.t;
+  mutable pos : int;  (* next unread byte of [chunk] *)
+  mutable len : int;  (* bytes of [chunk] filled by the last read *)
+  line : Buffer.t;  (* the current line's bytes before [chunk] *)
+}
+
+let reader fd =
+  { rfd = fd; chunk = Bytes.create 65536; pos = 0; len = 0;
+    line = Buffer.create 4096 }
+
+let rec newline_in b i stop =
+  if i >= stop then -1
+  else if Bytes.unsafe_get b i = '\n' then i
+  else newline_in b (i + 1) stop
+
+(* [Buffer.reset] returns a large line's storage instead of keeping it
+   for the connection's lifetime. *)
+let take_line r =
+  if Buffer.length r.line > max_request_bytes then raise Line_too_long;
+  let s = Buffer.contents r.line in
+  Buffer.reset r.line;
+  s
+
+(* The next line without its newline, or [None] at end of stream; a
+   last line without a newline is returned, as [input_line] does.
+   @raise Line_too_long as soon as the line passes the limit. *)
+let rec read_line r =
+  let nl = newline_in r.chunk r.pos r.len in
+  if nl >= 0 then begin
+    Buffer.add_subbytes r.line r.chunk r.pos (nl - r.pos);
+    r.pos <- nl + 1;
+    Some (take_line r)
+  end
+  else begin
+    Buffer.add_subbytes r.line r.chunk r.pos (r.len - r.pos);
+    r.pos <- 0;
+    r.len <- 0;
+    if Buffer.length r.line > max_request_bytes then raise Line_too_long;
+    match Unix.read r.rfd r.chunk 0 (Bytes.length r.chunk) with
+    | 0 -> if Buffer.length r.line = 0 then None else Some (take_line r)
+    | n ->
+        r.len <- n;
+        read_line r
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line r
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Connections: one systhread per client reads request lines and
    submits tasks; the pool worker that executes a task writes its
    response itself (under the connection's write mutex), so responses
@@ -720,13 +834,20 @@ let handle_conn t cfd =
       Mutex.unlock done_m
     end
   in
-  let ic = Unix.in_channel_of_descr cfd in
+  let r = reader cfd in
   (try
      let rec loop () =
-       match input_line ic with
-       | exception End_of_file -> ()
-       | line when String.trim line = "" -> loop ()
-       | line ->
+       match read_line r with
+       | None -> ()
+       | exception Line_too_long ->
+           send
+             (Protocol.error_response ~id:(-1)
+                (Printf.sprintf
+                   "request line longer than %d bytes (the daemon's limit); \
+                    closing the connection"
+                   max_request_bytes))
+       | Some line when String.trim line = "" -> loop ()
+       | Some line ->
            (match Protocol.parse_request line with
            | Error msg -> send (Protocol.error_response ~id:(-1) msg)
            | Ok req ->
@@ -874,6 +995,10 @@ let run t =
   done;
   Mutex.unlock t.conns_m;
   Pool.Shared.shutdown t.pool;
+  (* Nothing can look up against this registry any more: its entries
+     (programs, analyses, and the compilations of every handler) would
+     only hold slots of the shared bound until they were evicted. *)
+  Compile_cache.drop_builtins t.builtins;
   if t.telemetry then Window.stop ();
   match t.listen with
   | Unix_socket path -> ( try Sys.remove path with Sys_error _ -> ())

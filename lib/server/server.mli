@@ -17,6 +17,16 @@
       sharded) are hits for every later request on the same program —
       the warm cross-request hit rate the server bench reports.
 
+    The daemon reuses its own work through the same cache, scoped to
+    its registry: the parsed, typechecked program of a request text
+    (keyed on the text's MD5), and an [analyze] request's analysis
+    (keyed on text digest, func, model and target), so a repeated
+    request parses nothing and builds nothing. Errors are never cached.
+    {!run} drops every entry compiled against the registry once it has
+    drained. A compiled run's failure is reported with the located
+    message of the interpreter re-running the request's arguments on
+    the source function.
+
     Per-request observability: each request runs under a
     ["server.request"] root span whose completed subtree is extracted
     with {!Cheffp_obs.Trace.take_tree} and streamed back to the client
@@ -50,6 +60,13 @@ type listen = Unix_socket of string | Tcp of int
 val default_max_pending : int
 (** 256. *)
 
+val max_request_bytes : int
+(** 16 MiB: the longest request line the daemon reads. A longer line
+    is answered with an error response that names this limit, and its
+    connection is closed, so one client cannot grow the daemon's heap
+    without bound. A constant, far above any program in the
+    repository. *)
+
 val create :
   ?workers:int ->
   ?max_pending:int ->
@@ -75,7 +92,9 @@ val create :
 
 val run : t -> unit
 (** Accept loop; returns after a shutdown request (or {!request_stop})
-    has drained the server. Call from the main thread. *)
+    has drained the server and its compile-cache entries have been
+    dropped ({!Cheffp_ir.Compile_cache.drop_builtins}). Call from the
+    main thread. *)
 
 val request_stop : t -> unit
 (** Ask the accept loop to begin the drain (signal-handler safe: just

@@ -13,6 +13,10 @@
      byte, the stdout of the corresponding one-shot CLI invocation;
    - repeats an identical search on a fresh connection and requires
      warm cross-request compile-cache hits;
+   - replays the first round's analyze and range requests on another
+     fresh connection: every lookup must hit (the daemon's cached
+     program and analysis) and every result must equal the first
+     round's;
    - runs two concurrent traced requests, collects their span trees
      from the responses and writes serve_smoke_trace.jsonl for
      `validate_trace --forest 2` (two disjoint server.request trees);
@@ -196,6 +200,8 @@ let () =
   in
   let n_conns = 4 in
   let results = Array.make n_conns [] in
+  (* Each connection's analyze result, for the warm replay. *)
+  let analyze_results = Array.make n_conns Json.Null in
   let threads =
     List.init n_conns (fun i ->
         Thread.create
@@ -205,7 +211,14 @@ let () =
             let reqs = mk_requests i in
             List.iter (fun (_, req, _) -> Client.send c req) reqs;
             let got =
-              List.map (fun _ -> check_ok who (Client.recv c)) reqs
+              List.map
+                (fun _ ->
+                  let resp = Client.recv c in
+                  let row = check_ok who resp in
+                  if to_str who "cmd" resp = "analyze" then
+                    analyze_results.(i) <- Json.member "result" resp;
+                  row)
+                reqs
             in
             Client.close c;
             results.(i) <- List.map2 (fun (id, _, want) (rid, _, _, report) ->
@@ -264,13 +277,13 @@ let () =
   (* Rigorous range bound over an explicit box (DESIGN.md §17): the
      response must certify a finite worst-config bound and carry the
      witness sub-box. *)
-  let rresp =
-    Client.rpc c
-      (Client.request ~id:503 ~cmd:"range"
-         [ ("program", Json.Str obs_smoke); ("func", Json.Str "looped");
-           ("args", Json.List [ Json.Str "1.3"; Json.Str "50" ]);
-           ("box", Json.Str "x=1,2") ])
+  let range_request id =
+    Client.request ~id ~cmd:"range"
+      [ ("program", Json.Str obs_smoke); ("func", Json.Str "looped");
+        ("args", Json.List [ Json.Str "1.3"; Json.Str "50" ]);
+        ("box", Json.Str "x=1,2") ]
   in
+  let rresp = Client.rpc c (range_request 503) in
   let _, _, _, rreport = check_ok "range" rresp in
   let rres = Json.member "result" rresp in
   (match Json.to_string_opt (Json.member "verdict" rres) with
@@ -300,6 +313,49 @@ let () =
   (try ignore (Str.search_forward (Str.regexp_string "threshold") err 0)
    with Not_found -> fail "missing-threshold error does not mention it: %s" err);
   Client.close c;
+
+  (* -------------------------------------------------------------- *)
+  (* Phase 2b: warm replay of analyze and range on a new connection. *)
+  (* The daemon caches each text's parsed program and each analyze's *)
+  (* analysis, so every lookup hits (analyze: program + analysis;   *)
+  (* range: program) and nothing is rebuilt. Range results drop     *)
+  (* their elapsed_ms timing before the comparison.                 *)
+
+  let c = connect () in
+  let untimed = function
+    | Json.Obj l -> Json.Obj (List.filter (fun (k, _) -> k <> "elapsed_ms") l)
+    | j -> j
+  in
+  let replay who id req ~first ~lookups =
+    let resp = Client.rpc c req in
+    let _, hits, misses, _ = check_ok who resp in
+    if misses <> 0 || hits <> lookups then
+      fail "%s: warm replay %d: %d hits, %d misses (want %d hits, 0 misses)"
+        who id hits misses lookups;
+    if
+      Json.to_string (untimed (Json.member "result" resp))
+      <> Json.to_string (untimed first)
+    then
+      fail "%s: warm replay %d: result differs from the first round's" who id
+  in
+  for round = 0 to 1 do
+    Array.iteri
+      (fun i first ->
+        let id = 800 + (round * 10) + i in
+        replay "warm analyze" id
+          (Client.request ~id ~cmd:"analyze"
+             [ ("program", Json.Str arclength); ("func", Json.Str "arclength");
+               ("args", Json.List [ Json.Str "100" ]);
+               ("tenant", Json.Str "warm") ])
+          ~first ~lookups:2)
+      analyze_results;
+    let id = 850 + round in
+    replay "warm range" id (range_request id) ~first:rres ~lookups:1
+  done;
+  Client.close c;
+  print_endline
+    "serve_smoke: warm analyze and range replays: every lookup hit, every \
+     result equal to the first round's";
 
   (* -------------------------------------------------------------- *)
   (* Phase 3: two concurrent traced requests -> two disjoint span   *)

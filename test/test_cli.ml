@@ -208,10 +208,86 @@ let test_push_pop_errors () =
   expect_input_error "func f(x: f64): f64 { var y: f64 = x; pop y; return y; }"
     [ "run"; "validate" ]
 
+(* ------------------------------------------------------------------ *)
+(* An in-process daemon on a temporary Unix socket. [f] gets a connect
+   function; every connection it opens is closed before the drain, so
+   [Server.run] returns and the test can inspect what it left behind. *)
+
+module Server = Cheffp_server.Server
+module Client = Cheffp_server.Client
+module Json = Cheffp_server.Json
+module Compile_cache = Cheffp_ir.Compile_cache
+
+let with_server ?(workers = 1) f =
+  let sock = Filename.temp_file "cheffp_serve" ".sock" in
+  let srv =
+    Server.create ~workers ~telemetry:false (Server.Unix_socket sock)
+  in
+  let accept = Thread.create Server.run srv in
+  let opened = ref [] in
+  let connect () =
+    let c = Client.retry_connect (fun () -> Client.connect_unix sock) in
+    opened := c :: !opened;
+    c
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Client.close !opened;
+      Server.request_stop srv;
+      Thread.join accept)
+    (fun () -> f sock connect)
+
+let analyze_request ?(fields = []) ~id ~program ~func args =
+  Client.request ~id ~cmd:"analyze"
+    ([ ("program", Json.Str program); ("func", Json.Str func);
+       ("args", Json.List (List.map (fun a -> Json.Str a) args)) ]
+    @ fields)
+
+let member_str k j = Option.value ~default:"" (Json.to_string_opt (Json.member k j))
+
+let expect_error who resp =
+  Alcotest.(check bool) (who ^ ": error response") true
+    (Json.member "ok" resp = Json.Bool false);
+  member_str "error" resp
+
+(* (hits, misses) of the response's compile-cache summary. *)
+let cache_counts resp =
+  let c = Json.member "cache" resp in
+  let get k = Option.value ~default:(-1) (Json.to_int_opt (Json.member k c)) in
+  (get "hits", get "misses")
+
+let expect_ok who resp =
+  if Json.member "ok" resp <> Json.Bool true then
+    Alcotest.failf "%s: %s" who (Json.to_string resp)
+
+let bounds_source =
+  "func f(x: f64): f64 { var a: f64[2]; a[0] = x; return a[3] + x; }"
+
+(* The interpreter's message for the bad read: it names the array, the
+   index and the length, where the compiled run can only name the
+   generated adjoint. *)
+let bounds_located = {|index 3 out of bounds for "a" (length 2)|}
+
 let test_compiled_bounds_error () =
-  expect_input_error
-    "func f(x: f64): f64 { var a: f64[2]; a[0] = x; return a[3] + x; }"
-    [ "run"; "validate"; "analyze"; "tune" ]
+  expect_input_error bounds_source [ "run"; "validate"; "analyze"; "tune" ];
+  with_source bounds_source (fun path ->
+      List.iter
+        (fun (cmd, extra) ->
+          let code, out = run_cli ([ cmd; path; "--func"; "f" ] @ extra @ [ "1.0" ]) in
+          Alcotest.(check int) (cmd ^ " exit") 2 code;
+          Alcotest.(check bool)
+            (cmd ^ " locates the error: " ^ out)
+            true (contains out bounds_located))
+        [ ("analyze", []); ("tune", [ "--threshold"; "1e-3" ]) ]);
+  with_server (fun _ connect ->
+      let c = connect () in
+      let err =
+        expect_error "server analyze"
+          (Client.rpc c
+             (analyze_request ~id:1 ~program:bounds_source ~func:"f" [ "1.0" ]))
+      in
+      Alcotest.(check bool) ("server locates the error: " ^ err) true
+        (contains err bounds_located))
 
 (* The daemon's wire format is the other outside entry point. A
    request's [jobs] becomes the domain count of [Pool.parallel_map], so
@@ -231,6 +307,154 @@ let test_protocol_jobs_clamped () =
   Alcotest.(check int) "0" 1 (jobs {|, "jobs": 0|});
   Alcotest.(check int) "-3" 1 (jobs {|, "jobs": -3|});
   Alcotest.(check int) "cores" cores (jobs (Printf.sprintf {|, "jobs": %d|} cores))
+
+(* ------------------------------------------------------------------ *)
+(* The daemon's reuse of its own work: parsed programs and analyses in
+   the compile cache, scoped to its registry. *)
+
+let looped_args = [ "1.3"; "20" ]
+
+let test_analyze_reuse () =
+  with_source source (fun path ->
+      let _, cli = run_cli ([ "analyze"; path; "--func"; "looped" ] @ looped_args) in
+      with_server (fun _ connect ->
+          let c = connect () in
+          let rpc id =
+            Client.rpc c
+              (analyze_request ~id ~program:source ~func:"looped" looped_args)
+          in
+          let first = rpc 1 in
+          expect_ok "first" first;
+          Alcotest.(check (pair int int)) "first: program and analysis miss"
+            (0, 2) (cache_counts first);
+          List.iter
+            (fun id ->
+              let again = rpc id in
+              expect_ok "repeat" again;
+              Alcotest.(check (pair int int)) "repeat: both hit" (2, 0)
+                (cache_counts again);
+              Alcotest.(check string) "result identical to the first"
+                (Json.to_string (Json.member "result" first))
+                (Json.to_string (Json.member "result" again));
+              Alcotest.(check string) "report identical to the CLI" cli
+                (member_str "report" again))
+            [ 2; 3 ]))
+
+(* Every component of the analysis key separates entries: a change of
+   function, model or target reuses the program but builds a new
+   analysis; a change of text misses both. *)
+let test_reuse_keys () =
+  with_server (fun _ connect ->
+      let c = connect () in
+      let id = ref 0 in
+      let counts ?fields ?(program = source) func args =
+        incr id;
+        let resp =
+          Client.rpc c (analyze_request ?fields ~id:!id ~program ~func args)
+        in
+        expect_ok func resp;
+        cache_counts resp
+      in
+      let check what want got = Alcotest.(check (pair int int)) what want got in
+      check "cold" (0, 2) (counts "looped" looped_args);
+      check "other func" (1, 1) (counts "poly" [ "0.5"; "2.0" ]);
+      check "other model" (1, 1)
+        (counts ~fields:[ ("model", Json.Str "taylor") ] "looped" looped_args);
+      check "other target" (1, 1)
+        (counts ~fields:[ ("target", Json.Str "f16") ] "looped" looped_args);
+      check "other text" (0, 2)
+        (counts ~program:(source ^ "\n") "looped" looped_args);
+      check "other args" (2, 0) (counts "looped" [ "2.5"; "7" ]))
+
+let test_errors_not_cached () =
+  with_server (fun _ connect ->
+      let c = connect () in
+      let twice program =
+        let size0 = (Compile_cache.stats ()).Compile_cache.size in
+        let err id =
+          expect_error "bad program"
+            (Client.rpc c (analyze_request ~id ~program ~func:"f" [ "1.0" ]))
+        in
+        let e1 = err 1 and e2 = err 2 in
+        Alcotest.(check string) "same error twice" e1 e2;
+        Alcotest.(check int) "nothing cached" size0
+          (Compile_cache.stats ()).Compile_cache.size;
+        e1
+      in
+      let parse_err =
+        twice "func f(x: f64): f64 {\n  var y: f64 = x +;\n  return y;\n}\n"
+      in
+      Alcotest.(check bool) ("parse error located: " ^ parse_err) true
+        (contains parse_err "line 2, col 19");
+      let type_err =
+        twice "func f(x: f64): f64 { var y: int = x; return x; }\n"
+      in
+      Alcotest.(check bool) ("type error: " ^ type_err) true
+        (contains type_err "expected int"))
+
+let test_concurrent_analyze () =
+  with_server ~workers:2 (fun _ connect ->
+      let c = connect () in
+      let req id = analyze_request ~id ~program:source ~func:"looped" looped_args in
+      Client.send c (req 1);
+      Client.send c (req 2);
+      let a = Client.recv c and b = Client.recv c in
+      expect_ok "a" a;
+      expect_ok "b" b;
+      Alcotest.(check string) "identical results"
+        (Json.to_string (Json.member "result" a))
+        (Json.to_string (Json.member "result" b)))
+
+(* Once [Server.run] has drained, nothing compiled against its registry
+   is left in the process-wide cache. *)
+let test_drop_on_drain () =
+  Compile_cache.clear ();
+  with_server (fun _ connect ->
+      let c = connect () in
+      expect_ok "analyze"
+        (Client.rpc c
+           (analyze_request ~id:1 ~program:source ~func:"looped" looped_args));
+      expect_ok "range"
+        (Client.rpc c
+           (Client.request ~id:2 ~cmd:"range"
+              [ ("program", Json.Str source); ("func", Json.Str "poly");
+                ("args", Json.List [ Json.Str "0.5"; Json.Str "2.0" ]) ]));
+      expect_ok "search"
+        (Client.rpc c
+           (Client.request ~id:3 ~cmd:"search"
+              [ ("program", Json.Str source); ("func", Json.Str "looped");
+                ("args", Json.List (List.map (fun a -> Json.Str a) looped_args));
+                ("threshold", Json.Num 1e-6) ]));
+      Alcotest.(check bool) "entries while serving" true
+        ((Compile_cache.stats ()).Compile_cache.size > 0));
+  Alcotest.(check int) "no entry after the drain" 0
+    (Compile_cache.stats ()).Compile_cache.size
+
+(* One over-long line closes its own connection and no other. *)
+let test_request_line_bound () =
+  with_server (fun sock connect ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX sock);
+          let line = String.make (Server.max_request_bytes + 1) 'x' in
+          let rec write_all pos =
+            if pos < String.length line then
+              write_all
+                (pos + Unix.write_substring fd line pos (String.length line - pos))
+          in
+          write_all 0;
+          let ic = Unix.in_channel_of_descr fd in
+          let err = expect_error "long line" (Json.of_string (input_line ic)) in
+          Alcotest.(check bool) ("names the limit: " ^ err) true
+            (contains err (string_of_int Server.max_request_bytes));
+          Alcotest.(check bool) "connection closed" true
+            (match input_line ic with
+            | _ -> false
+            | exception End_of_file -> true));
+      let c = connect () in
+      expect_ok "ping" (Client.rpc c (Client.request ~id:1 ~cmd:"ping" [])))
 
 let () =
   Alcotest.run "cli"
@@ -254,4 +478,14 @@ let () =
         ] );
       ( "protocol",
         [ Alcotest.test_case "jobs clamped" `Quick test_protocol_jobs_clamped ] );
+      ( "server",
+        [
+          Alcotest.test_case "analyze reuse" `Quick test_analyze_reuse;
+          Alcotest.test_case "reuse keys" `Quick test_reuse_keys;
+          Alcotest.test_case "errors not cached" `Quick test_errors_not_cached;
+          Alcotest.test_case "concurrent analyze" `Quick test_concurrent_analyze;
+          Alcotest.test_case "drop on drain" `Quick test_drop_on_drain;
+          Alcotest.test_case "request line bound" `Quick
+            test_request_line_bound;
+        ] );
     ]
