@@ -101,7 +101,7 @@ let batch_args = [ Ir.Interp.Aflt 1.25; Ir.Interp.Aflt 0.75 ]
 let batch_kernel lanes =
   let _, b, config_of = Lazy.force batch_setup in
   let configs = Array.init lanes config_of in
-  fun () -> ignore (Ir.Batch.run_floats b ~configs batch_args)
+  fun () -> ignore (Ir.Batch.run b ~configs batch_args)
 
 let scalar_kernel lanes =
   let prog, _, config_of = Lazy.force batch_setup in

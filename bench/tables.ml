@@ -78,8 +78,8 @@ let t1_hpccg ~threshold =
   (* Validate the split rewrite: bit-accurate result and modelled cost. *)
   let run_cfg prog func args =
     let counter = Cost.Counter.create Cost.default in
-    let compiled = Compile.compile ~counter ~prog ~func () in
-    let v = Compile.run_float compiled args in
+    let compiled = Compile.compile ~meter:true ~prog ~func () in
+    let v = Compile.run_float ~counter compiled args in
     (v, Cost.Counter.total counter)
   in
   let reference, cost_double =
@@ -213,11 +213,11 @@ let table4 ?(n = 1000) () =
     let builtins = Builtins.create () in
     Cheffp_fastapprox.Fastapprox.register_builtins builtins;
     let compiled =
-      Compile.compile ~builtins ~counter
+      Compile.compile ~builtins ~meter:true
         ~prog:(B.Blackscholes.program config)
         ~func:B.Blackscholes.func_name ()
     in
-    ignore (Compile.run_float compiled (B.Blackscholes.args w));
+    ignore (Compile.run_float ~counter compiled (B.Blackscholes.args w));
     Cost.Counter.total counter
   in
   let cost_exact = cost_of B.Blackscholes.Exact in

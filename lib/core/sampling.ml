@@ -218,7 +218,7 @@ let draw_many plan ~seed n = Array.init n (fun i -> draw plan ~seed i)
 
 let sweep ?(jobs = 1) ?(lanes = Batch.default_sweep_lanes) ?builtins ?mode ~prog
     ~func ~config inputs =
-  let b = Compile_cache.compile_sweep ?builtins ?mode ~prog ~func () in
+  let b = Compile_cache.compile_batch ?builtins ?mode ~prog ~func () in
   let fallback config =
     Compile_cache.compile ?builtins ?mode ~meter:true ~config ~prog ~func ()
   in

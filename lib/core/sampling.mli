@@ -107,7 +107,8 @@ val sweep :
   Interp.arg list array ->
   float array
 (** Batched evaluation of [func] under [config] at each input vector:
-    {!Cheffp_ir.Compile_cache.compile_sweep} for the artifact,
+    {!Cheffp_ir.Compile_cache.compile_batch} for the artifact (one cache
+    entry serves this and the program's config sweeps),
     {!Cheffp_ir.Batch.run_inputs_many} for the execution ([lanes]-wide
     sweeps, default {!Cheffp_ir.Batch.default_sweep_lanes}, fanned
     over [jobs] domains), cache-backed scalar fallback for diverged

@@ -188,7 +188,7 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
                 | _ -> Batch.default_lanes
               in
               let b =
-                Compile_cache.compile_sweep ?builtins ?mode ~prog ~func ()
+                Compile_cache.compile_batch ?builtins ?mode ~prog ~func ()
               in
               let fallback config =
                 Compile_cache.compile ?builtins ?mode ~meter:true ~config

@@ -5,15 +5,17 @@
     A tuning run evaluates many candidate configurations of the {e same}
     function on the {e same} arguments; the scalar path ({!Compile})
     pays one full compile + run per configuration. This module compiles
-    the function {b once} into configuration-generic closures over K
-    {e lanes} in structure-of-arrays layout: every float slot becomes a
-    [float array] of length K, every float expression node evaluates as
-    one tight per-lane loop, and each lane carries its own
-    {!Cheffp_precision.Config.t} whose storage/operation formats are
-    resolved into per-lane tables when a batch run starts — the compiled
-    artifact itself is configuration-independent, which is what lets
+    the function {b once} through the same slot lowering as {!Compile}
+    ({!Lower}: scopes, slots, int code, statements, parameters, format
+    rules and charge order are defined there, once), with a lane
+    emitter: a float slot holds K {e lanes} side by side, and every float
+    instruction is one tight unboxed loop over them. A float node's
+    format is a rule over the configuration, resolved per lane when a
+    run starts, so the compiled artifact itself is configuration- and
+    input-independent, which is what lets
     {!Compile_cache.compile_batch} key it on [(program, func, mode)]
-    alone.
+    alone and serve both axes from one entry. Both axes are one lane
+    runner over per-lane configurations and per-lane arguments.
 
     {b Shared control flow.} Integer values (loop bounds, branch
     conditions, indices) are computed once and shared by all lanes.
@@ -24,14 +26,19 @@
     keeps going and each dissenting lane is {e deactivated} and
     transparently re-run from scratch through the scalar fallback
     ({!Compile.run}) under its own configuration. Divergence therefore
-    costs performance, never correctness.
+    costs performance, never correctness. On unmetered artifacts an
+    [if] whose condition is a float comparison and whose branches only
+    assign float scalars is predicated instead: each lane keeps its own
+    outcome and nothing diverges.
 
     {b Bit-identity contract.} For every lane, the returned
     {!Interp.result} is bit-identical to a scalar
     [Compile.run (Compile.compile ~config ...)] of the same function on
     the same arguments under that lane's configuration (asserted by the
-    unit and fuzz suites). Divergent lanes satisfy this trivially — they
-    {e are} scalar runs. Unlike {!Compile.run}, batched runs never
+    unit and fuzz suites, and pinned by [test/interp_digest.expected]).
+    Divergent lanes satisfy this trivially — they {e are} scalar runs.
+    A sweep raises {!Interp.Runtime_error} exactly when one of its
+    lanes' scalar runs would. Unlike {!Compile.run}, batched runs never
     mutate caller-supplied argument arrays (every lane gets private
     copies).
 
@@ -103,18 +110,10 @@ val run :
     the scalar compilation used for diverged lanes (default: a direct
     {!Compile.compile} with this batch's builtins/mode/meter settings —
     pass a {!Compile_cache}-backed closure to memoize).
-    @raise Invalid_argument on an empty [configs] or an arity mismatch. *)
-
-val run_floats :
-  ?counters:Cheffp_precision.Cost.Counter.t array ->
-  ?fallback:(Cheffp_precision.Config.t -> Compile.t) ->
-  t ->
-  configs:Cheffp_precision.Config.t array ->
-  Interp.arg list ->
-  float array
-(** Like {!run} but projects each lane's float return value.
-    @raise Compile.Compile_error if the function does not return a
-    float. *)
+    @raise Invalid_argument on an empty [configs] or a counter length
+    mismatch. @raise Compile.Compile_error on arity/kind mismatches.
+    @raise Interp.Runtime_error naming the function where a lane's
+    scalar run raises it. *)
 
 val run_inputs :
   ?counters:Cheffp_precision.Cost.Counter.t array ->
@@ -125,10 +124,9 @@ val run_inputs :
   result
 (** The {e input-sweep} axis: run K sampled argument vectors under ONE
     configuration as a single lane sweep (lane [l] executes
-    [inputs.(l)]). The compiled artifact is configuration- {e and}
-    input-generic, so the very same closures serve both axes; here the
-    per-lane format tables resolve to uniform rows and the arguments
-    load per lane instead of broadcast.
+    [inputs.(l)]). {!run} and this function are one lane runner: here
+    every lane resolves the formats of the one configuration and loads
+    its own arguments.
 
     Integer arguments (and integer arrays, and float-array {e lengths})
     feed the shared control flow, so they pass through the same
@@ -147,7 +145,8 @@ val run_inputs :
     [batch.input_sweeps] counter; divergences land in the shared
     [batch.divergence_total].
     @raise Invalid_argument on empty [inputs] or a counter length
-    mismatch. @raise Compile.Compile_error on arity/kind mismatches. *)
+    mismatch. @raise Compile.Compile_error on arity/kind mismatches.
+    @raise Interp.Runtime_error as {!run}. *)
 
 val run_inputs_floats :
   ?counters:Cheffp_precision.Cost.Counter.t array ->

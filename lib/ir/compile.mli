@@ -1,4 +1,5 @@
-(** Slot-instruction compiler for MiniFP.
+(** Slot-instruction compiler for MiniFP: the scalar emitter of the one
+    slot lowering ({!Lower}).
 
     Compiles a function (after auto-inlining its user calls) into flat
     arrays of [env -> unit] instructions over a slot-resolved
@@ -22,13 +23,16 @@
     which is what makes it faster and leaner than the tape-based
     baseline.
 
-    Precision semantics match {!Interp} and are baked statically: under a
-    mixed-precision configuration every float expression's format is
-    known at compile time, so rounding (and optional cost metering) is
-    emitted as instructions only where needed and costs nothing
-    elsewhere. Metering charges are emitted in the order the expression
-    tree is evaluated (an operation's charge before its operands' code,
-    right operand before left), so totals are reproducible to the bit. *)
+    {!Lower} owns scopes, slots, int code, statements, parameters, the
+    format rules and the charge order; {!Batch} is the same lowering
+    with a lane emitter. Here the format rules are resolved against the
+    compilation's one configuration while the instructions are emitted,
+    so every float expression's format is static, and rounding (and
+    optional cost metering) is emitted only where needed and costs
+    nothing elsewhere. Precision semantics match {!Interp}. Metering
+    charges are emitted in the order the expression tree is evaluated
+    (an operation's charge before its operands' code, right operand
+    before left), so totals are reproducible to the bit. *)
 
 exception Compile_error of string
 
@@ -58,25 +62,24 @@ val compile :
   ?builtins:Builtins.t ->
   ?config:Cheffp_precision.Config.t ->
   ?mode:Cheffp_precision.Config.rounding_mode ->
-  ?counter:Cheffp_precision.Cost.Counter.t ->
   ?meter:bool ->
   ?optimize:bool ->
   prog:Ast.program ->
   func:string ->
   unit ->
   t
-(** [optimize] (default [true]) runs {!Optimize.optimize_func} first.
+(** [optimize] (default [true]) runs {!Optimize.optimize_func} first,
+    with the configuration's demoted variables opaque.
     [mode] defaults to [Source], matching {!Interp.run}.
 
-    [meter] (default: whether [counter] was given) decides statically
-    whether cost-metering code is emitted at all; unmetered
-    compilations pay nothing at run time. Metered compilations charge
-    into the {e run}'s counter, not one captured here: [counter] only
-    sets the default accumulator used when {!run} is not given one.
-    A compiled value is therefore immutable after compilation and may
-    be shared freely — across repeated runs, across counters, and
-    across domains (every {!run} builds a private environment), which
-    is what {!Compile_cache} and the parallel tuning paths rely on.
+    [meter] (default [false]) decides statically whether cost-metering
+    code is emitted at all; unmetered compilations pay nothing at run
+    time. Metered compilations charge into the {e run}'s counter, not
+    one captured here. A compiled value is therefore immutable after
+    compilation and may be shared freely — across repeated runs, across
+    counters, and across domains (every {!run} builds a private
+    environment), which is what {!Compile_cache} and the parallel
+    tuning paths rely on.
 
     Primitive tags are read here: re-registering an intrinsic after
     compiling does not affect the compiled value. *)
@@ -90,14 +93,16 @@ val run :
 (** Execute the compiled function. The same compiled value can be run
     many times (including concurrently from several domains); arrays
     passed as arguments are shared and mutated. [counter] receives the
-    run's metered costs, falling back to the compile-time [counter],
-    else to a fresh private accumulator (charges dropped). [sink]
-    receives the run's recordings; without one they go to an empty
-    sink, where [Record_total] and [Record_range] fail.
+    run's metered costs; without one they go to a fresh private
+    accumulator (charges dropped). [sink] receives the run's
+    recordings; without one they go to an empty sink, where
+    [Record_total] and [Record_range] fail.
     @raise Interp.Runtime_error naming the function when the run indexes
-    an array out of bounds, pops an empty stack or records into a sink
-    too small (the compiled code does not check each access; the
-    failure is caught once per run). *)
+    an array out of bounds, pops an empty stack, records into a sink
+    too small or divides an int by zero (the compiled code does not
+    check each access or divisor; the failure is caught once per run,
+    in {!Lower}, for both executors).
+    @raise Compile_error on an arity or argument-kind mismatch. *)
 
 val run_float :
   ?counter:Cheffp_precision.Cost.Counter.t ->

@@ -31,7 +31,7 @@ type stats = {
    profiles) can reuse the same LRU machinery for their own expensive
    artifacts without a dependency inversion. *)
 type artifact = ..
-type artifact += Scalar of Compile.t | Batched of Batch.t | Sweep of Batch.t
+type artifact += Scalar of Compile.t | Batched of Batch.t
 
 type entry = {
   key : string;
@@ -305,9 +305,9 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
           Compile.compile ?builtins ~config ~mode ~meter ~optimize ~prog
             ~func ()))
 
-(* A batch compilation is configuration-generic, so its key drops the
-   config component entirely: one cached artifact serves every lane
-   sweep of a (program, func, mode). *)
+(* A batch compilation is configuration- and input-generic, so its key
+   drops the config component entirely: one cached artifact serves every
+   lane sweep of a (program, func, mode), on both lane axes. *)
 let batch_key ~prog ~func ~mode ~optimize ~meter =
   Printf.sprintf "batch|%s|%s|%s|%b|%b" (prog_digest prog) func
     (match mode with Config.Source -> "src" | Config.Extended -> "ext")
@@ -324,33 +324,6 @@ let compile_batch ?builtins ?(mode = Config.Source) ?(meter = false)
           if Trace.enabled () then begin
             Trace.add_attr "func" (Trace.Str func);
             Trace.add_attr "batch" (Trace.Bool true);
-            Trace.add_attr "optimize" (Trace.Bool optimize);
-            Trace.add_attr "meter" (Trace.Bool meter)
-          end;
-          Batch.compile ?builtins ~mode ~meter ~optimize ~prog ~func ()))
-
-(* An input-sweep compilation is the same configuration- and
-   input-generic artifact as a batch one, but it lives under its own
-   kind-prefixed key: sweep entries have their own recency (a tuning
-   session's config sweeps must not evict a server tenant's long-lived
-   sampling artifact and vice versa) and their own hit/miss attribution
-   in per-tenant accounting. *)
-let sweep_key ~prog ~func ~mode ~optimize ~meter =
-  Printf.sprintf "sweep|%s|%s|%s|%b|%b" (prog_digest prog) func
-    (match mode with Config.Source -> "src" | Config.Extended -> "ext")
-    optimize meter
-
-let compile_sweep ?builtins ?(mode = Config.Source) ?(meter = false)
-    ?(optimize = true) ~prog ~func () =
-  let k = sweep_key ~prog ~func ~mode ~optimize ~meter in
-  lookup_or ~key:k ~label:func ~builtins
-    ~select:(function Sweep t -> Some t | _ -> None)
-    ~inject:(fun t -> Sweep t)
-    ~build:(fun () ->
-      Trace.with_span "compile" (fun () ->
-          if Trace.enabled () then begin
-            Trace.add_attr "func" (Trace.Str func);
-            Trace.add_attr "sweep" (Trace.Bool true);
             Trace.add_attr "optimize" (Trace.Bool optimize);
             Trace.add_attr "meter" (Trace.Bool meter)
           end;

@@ -8,9 +8,11 @@
     the same inline + optimize + closure-build work. This cache keys
     compilations structurally on
     [(program digest, func, Config.t, rounding mode, optimize, meter)]
-    and returns the previously built {!Compile.t} on a hit. The
-    analysis server ([cheffp serve]) multiplies the effect: requests
-    that analyze the same program amortize each other's compilations.
+    and returns the previously built {!Compile.t} on a hit. Lane
+    artifacts ({!compile_batch}) drop the configuration from the key,
+    and one entry serves both lane axes. The analysis server
+    ([cheffp serve]) multiplies the effect: requests that analyze the
+    same program amortize each other's compilations.
 
     {b Sharding} (DESIGN.md §13): the table is split into {!shards}
     independent shards — per-shard locks, hash tables and intrusive
@@ -70,7 +72,7 @@ type artifact = ..
     statistics — add a constructor, pick a kind-prefixed key, call
     {!lookup_or}. *)
 
-type artifact += Scalar of Compile.t | Batched of Batch.t | Sweep of Batch.t
+type artifact += Scalar of Compile.t | Batched of Batch.t
 
 val shards : int
 (** Number of independent shards (8). A key's shard is a hash of the
@@ -122,30 +124,14 @@ val compile_batch :
   func:string ->
   unit ->
   Batch.t
-(** Memoized {!Batch.compile}. Batch artifacts are
-    configuration-generic, so the key is
+(** Memoized {!Batch.compile}. Batch artifacts are configuration- and
+    input-generic, so the key is
     [(program digest, func, mode, optimize, meter)] {e without} a
-    configuration — one cached compile serves every lane sweep, which is
-    what lets a whole tuning search pay a single compilation per
+    configuration — one cached compile serves every lane sweep on both
+    axes ({!Batch.run} and {!Batch.run_inputs}), which is what lets a
+    whole tuning search, sampled or not, pay a single compilation per
     (program, mode). Entries share the scalar table, its LRU bound and
     its statistics. *)
-
-val compile_sweep :
-  ?builtins:Builtins.t ->
-  ?mode:Cheffp_precision.Config.rounding_mode ->
-  ?meter:bool ->
-  ?optimize:bool ->
-  prog:Ast.program ->
-  func:string ->
-  unit ->
-  Batch.t
-(** Memoized {!Batch.compile} for the {e input-sweep} axis
-    ({!Batch.run_inputs}). The artifact is the same configuration- and
-    input-generic compile as {!compile_batch}'s, but it is cached under
-    its own [sweep|...] kind-prefixed key: a long sampling session (a
-    server tenant streaming [sample] requests) keeps its artifact's
-    recency independent of config-sweep traffic, and per-tenant
-    hit/miss attribution distinguishes the two uses. *)
 
 (** {1 Per-tenant / per-request attribution} *)
 

@@ -40,6 +40,13 @@ type result = {
       (** high-water mark of the push/pop value stacks during the run *)
 }
 
+val wider :
+  Cheffp_precision.Fp.format ->
+  Cheffp_precision.Fp.format ->
+  Cheffp_precision.Fp.format
+(** The wider of two formats: in [Source] mode, the format an operation
+    on the two runs in. *)
+
 val effective_format :
   Cheffp_precision.Config.t -> Ast.scalar -> string -> Cheffp_precision.Fp.format
 (** Storage format of a float variable: an explicit configuration override

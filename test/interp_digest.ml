@@ -1,4 +1,5 @@
-(* Golden digests of the MiniFP interpreter's two instances.
+(* Golden digests of the MiniFP interpreter's two instances and of the
+   two compiled executors.
 
    [Interp.run] (the plain binary64 lane) and [Shadow.run] (the same
    interpreter carrying a double-double lane) must keep their exact
@@ -16,14 +17,33 @@
      and relative error), [ret_int], the per-variable divergence and
      [branch_hash].
 
+   After each program's line comes its [compiled] line: the name, the
+   word [compiled] and three MD5s, over the same configurations and
+   both rounding modes.
+
+   - Compile dump: a metered [Compile.run] per configuration, with the
+     Interp dump's fields.
+   - Batch dump: every configuration as one [Batch.run] sweep, metered
+     and unmetered: per lane the return value, [out] parameters,
+     [stack_peak_bytes], counter total and casts, then the sweep's
+     [divergences].
+   - Input-sweep dump: per configuration, metered and unmetered,
+     [Batch.run_inputs] over 8 argument vectors, lane [l] scaling every
+     float scalar and float-array element by [1 + l/8]; the Batch
+     dump's fields.
+
+   A compiled run that raises is recorded as [error] without its
+   message, so a change of exception or wording moves no line.
+
    Programs: the FPCore corpus kernels at their [:pre] midpoints, the
    reverse-mode adjoints of those kernels, the five paper programs at
    small sizes, and seeded generated mixed-precision programs with
    their adjoints.
 
    The output is diffed against interp_digest.expected by
-   [dune runtest]; an intentional change to interpreter results is
-   promoted with [dune promote] and explained in the change log. *)
+   [dune runtest]; an intentional change to interpreter or executor
+   results is promoted with [dune promote] and explained in the change
+   log. *)
 
 open Cheffp_ir
 module B = Cheffp_benchmarks
@@ -48,26 +68,98 @@ let arrays b args =
       | Interp.Aint _ | Interp.Aflt _ -> ())
     args
 
+let ret_outs b (r : Interp.result) =
+  Buffer.add_string b "ret ";
+  (match r.Interp.ret with
+  | Some v -> value b v
+  | None -> Buffer.add_string b "none");
+  List.iter
+    (fun (n, v) ->
+      Printf.bprintf b " %s=" n;
+      value b v)
+    r.Interp.outs
+
+(* The Interp dump's fields of one run. *)
+let run_fields b counter args (r : Interp.result) =
+  ret_outs b r;
+  Buffer.add_string b " arrays";
+  arrays b args;
+  Printf.bprintf b " peak %d cost %h casts %d\n" r.Interp.stack_peak_bytes
+    (Cost.Counter.total counter)
+    (Cost.Counter.casts counter)
+
 let interp_dump b ~config ~mode ~prog ~func args =
   let counter = Cost.Counter.create Cost.default in
   let args = Interp.copy_args args in
   match Interp.run ~config ~mode ~counter ~fuel ~prog ~func args with
-  | r ->
-      Buffer.add_string b "ret ";
-      (match r.Interp.ret with
-      | Some v -> value b v
-      | None -> Buffer.add_string b "none");
-      List.iter
-        (fun (n, v) ->
-          Printf.bprintf b " %s=" n;
-          value b v)
-        r.Interp.outs;
-      Buffer.add_string b " arrays";
-      arrays b args;
-      Printf.bprintf b " peak %d cost %h casts %d\n" r.Interp.stack_peak_bytes
-        (Cost.Counter.total counter)
-        (Cost.Counter.casts counter)
+  | r -> run_fields b counter args r
   | exception Interp.Runtime_error m -> Printf.bprintf b "error %S\n" m
+
+let compile_dump b ~config ~mode ~prog ~func args =
+  let counter = Cost.Counter.create Cost.default in
+  let args = Interp.copy_args args in
+  match
+    Compile.run ~counter
+      (Compile.compile ~config ~mode ~meter:true ~prog ~func ())
+      args
+  with
+  | r -> run_fields b counter args r
+  | exception _ -> Buffer.add_string b "error\n"
+
+(* One lane sweep: per lane its result and counter, then the
+   divergence count. [sweep counters] runs it. *)
+let sweep_dump b ~k sweep =
+  let counters = Array.init k (fun _ -> Cost.Counter.create Cost.default) in
+  match sweep counters with
+  | (r : Batch.result) ->
+      Array.iteri
+        (fun l lane ->
+          ret_outs b lane;
+          Printf.bprintf b " peak %d cost %h casts %d\n"
+            lane.Interp.stack_peak_bytes
+            (Cost.Counter.total counters.(l))
+            (Cost.Counter.casts counters.(l)))
+        r.Batch.lanes;
+      Printf.bprintf b "divergences %d\n" r.Batch.divergences
+  | exception _ -> Buffer.add_string b "error\n"
+
+let sweep_lanes = 8
+
+(* Lane [l]'s arguments: every float scalar and float-array element
+   scaled by [1 + l/8]. *)
+let perturbed args l =
+  let s = 1. +. (float_of_int l /. 8.) in
+  List.map
+    (function
+      | Interp.Aflt x -> Interp.Aflt (x *. s)
+      | Interp.Afarr a -> Interp.Afarr (Array.map (fun x -> x *. s) a)
+      | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
+      | Interp.Aint _ as a -> a)
+    args
+
+(* The Batch and input-sweep dumps of one rounding mode. *)
+let batch_dumps bb bx ~configs ~mode ~prog ~func args =
+  let inputs = Array.init sweep_lanes (perturbed args) in
+  List.iter
+    (fun meter ->
+      let tag = Printf.sprintf "meter %b: " meter in
+      match Batch.compile ~mode ~meter ~prog ~func () with
+      | exception _ ->
+          Buffer.add_string bb (tag ^ "error\n");
+          Buffer.add_string bx (tag ^ "error\n")
+      | t ->
+          let cfgs = Array.of_list (List.map snd configs) in
+          Buffer.add_string bb tag;
+          sweep_dump bb ~k:(Array.length cfgs) (fun counters ->
+              Batch.run ~counters t ~configs:cfgs (Interp.copy_args args));
+          List.iter
+            (fun (cname, config) ->
+              Printf.bprintf bx "%s%s: " tag cname;
+              sweep_dump bx ~k:sweep_lanes (fun counters ->
+                  Batch.run_inputs ~counters t ~config
+                    (Array.map Interp.copy_args inputs)))
+            configs)
+    [ true; false ]
 
 let measurement b (m : Shadow.measurement) =
   Printf.bprintf b " %s low %h hi %h lo %h abs %h rel %h" m.Shadow.name
@@ -121,9 +213,14 @@ let configs ?(extra = []) (f : Ast.func) =
     | None -> [])
   @ extra
 
+let modes = [ ("source", Config.Source); ("extended", Config.Extended) ]
+let md5 b = Digest.to_hex (Digest.string (Buffer.contents b))
+
 let line ?extra name ~prog ~func args =
   let f = Ast.func_exn prog func in
+  let configs = configs ?extra f in
   let bi = Buffer.create 4096 and bs = Buffer.create 4096 in
+  let bc = Buffer.create 4096 in
   List.iter
     (fun (cname, config) ->
       List.iter
@@ -132,12 +229,20 @@ let line ?extra name ~prog ~func args =
           Buffer.add_string bi tag;
           interp_dump bi ~config ~mode ~prog ~func args;
           Buffer.add_string bs tag;
-          shadow_dump bs ~config ~mode ~prog ~func args)
-        [ ("source", Config.Source); ("extended", Config.Extended) ])
-    (configs ?extra f);
-  Printf.printf "%s %s %s\n" name
-    (Digest.to_hex (Digest.string (Buffer.contents bi)))
-    (Digest.to_hex (Digest.string (Buffer.contents bs)))
+          shadow_dump bs ~config ~mode ~prog ~func args;
+          Buffer.add_string bc tag;
+          compile_dump bc ~config ~mode ~prog ~func args)
+        modes)
+    configs;
+  let bb = Buffer.create 4096 and bx = Buffer.create 4096 in
+  List.iter
+    (fun (mname, mode) ->
+      Buffer.add_string bb (mname ^ " ");
+      Buffer.add_string bx (mname ^ " ");
+      batch_dumps bb bx ~configs ~mode ~prog ~func args)
+    modes;
+  Printf.printf "%s %s %s\n" name (md5 bi) (md5 bs);
+  Printf.printf "%s compiled %s %s %s\n" name (md5 bc) (md5 bb) (md5 bx)
 
 (* The adjoint of [func], run at [args] with zeroed derivative outputs
    (one per float parameter, in parameter order). *)

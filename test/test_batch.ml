@@ -406,6 +406,63 @@ let fuzz_batch_bit_identity =
           let r = Batch.run b ~configs args in
           Array.for_all2 (fun lane s -> lane = s) r.Batch.lanes scalar)
 
+(* A sweep raises [Interp.Runtime_error] exactly when a scalar run of
+   one of its lanes does, on both lane axes: an int division or modulo
+   by zero in the batched body, an out-of-bounds read every lane agrees
+   on, and one that only a diverged lane's scalar re-run makes. *)
+let test_run_failures () =
+  let raises f =
+    match f () with _ -> false | exception Interp.Runtime_error _ -> true
+  in
+  let check name src ~configs ~inputs ~expect =
+    let prog = parse src in
+    let scalar config args =
+      raises (fun () ->
+          Compile.run (Compile.compile ~config ~prog ~func:"f" ()) args)
+    in
+    let b = Batch.compile ~prog ~func:"f" () in
+    let config = configs.(0) and args = inputs.(0) in
+    Alcotest.(check bool)
+      (name ^ ": some config lane raises")
+      expect
+      (Array.exists (fun c -> scalar c args) configs);
+    Alcotest.(check bool)
+      (name ^ ": Batch.run raises")
+      expect
+      (raises (fun () -> Batch.run b ~configs args));
+    Alcotest.(check bool)
+      (name ^ ": some input lane raises")
+      expect
+      (Array.exists (scalar config) inputs);
+    Alcotest.(check bool)
+      (name ^ ": Batch.run_inputs raises")
+      expect
+      (raises (fun () -> Batch.run_inputs b ~config inputs))
+  in
+  let configs = [| Config.double; Config.uniform Fp.F32; Config.uniform Fp.F16 |] in
+  let ints x n = Array.map (fun n -> [ Interp.Aflt x; Interp.Aint n ]) n in
+  let floats = Array.map (fun x -> [ Interp.Aflt x ]) in
+  List.iter
+    (fun op ->
+      let src =
+        Printf.sprintf
+          "func f(x: f64, n: int): f64 { var k: int = 4 %s n; return x * itof(k); }"
+          op
+      in
+      check (op ^ " by zero") src ~configs ~inputs:(ints 1.5 [| 0; 0 |]) ~expect:true;
+      check (op ^ " by two") src ~configs ~inputs:(ints 1.5 [| 2; 2 |]) ~expect:false)
+    [ "/"; "%" ];
+  let oob =
+    "func f(x: f64): f64 { var a: f64[2]; a[0] = x; a[1] = x * x; var k: int = ftoi(x); return a[k] + x; }"
+  in
+  check "agreed index out of bounds" oob ~configs ~inputs:(floats [| 2.25; 2.5; 2.75 |])
+    ~expect:true;
+  (* binary16 stores 1.9999 as 2.0: that config lane diverges, as the
+     input lane at 2.5 does. *)
+  check "diverged lane out of bounds" oob ~configs
+    ~inputs:(floats [| 1.9999; 1.5; 2.5 |]) ~expect:true;
+  check "in bounds" oob ~configs ~inputs:(floats [| 0.5; 1.5; 1.75 |]) ~expect:false
+
 (* Programs that skip the typechecker: [Batch.compile] rejects each one
    with [Compile.Compile_error], as [Compile.compile] does — an int
    operand of float arithmetic, and intrinsic calls of the wrong arity
@@ -456,6 +513,7 @@ let () =
           Alcotest.test_case "batched search = scalar search" `Quick
             test_search_batched;
           Alcotest.test_case "malformed programs" `Quick test_malformed;
+          Alcotest.test_case "run failures" `Quick test_run_failures;
         ] );
       ( "fuzz",
         [ QCheck_alcotest.to_alcotest fuzz_batch_bit_identity ] );

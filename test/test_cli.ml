@@ -208,6 +208,44 @@ let test_push_pop_errors () =
   expect_input_error "func f(x: f64): f64 { var y: f64 = x; pop y; return y; }"
     [ "run"; "validate" ]
 
+(* Compiled run failures are input errors in every command, on the
+   scalar and the lane executors alike: an int division or modulo by
+   zero, and an out-of-bounds read that every sampled lane agrees on.
+   Where the interpreter's re-run at the given arguments fails too, its
+   message is the one reported. *)
+let test_compiled_run_failures () =
+  let expect src args cmds =
+    with_source src (fun path ->
+        List.iter
+          (fun (cmd, extra, message) ->
+            let code, out = run_cli ([ cmd; path; "--func"; "f" ] @ extra @ args) in
+            Alcotest.(check int) (cmd ^ ": " ^ src) 2 code;
+            Alcotest.(check bool)
+              (cmd ^ " reports " ^ message ^ ": " ^ out)
+              true (contains out message))
+          cmds)
+  in
+  let threshold = [ "--threshold"; "1e-6" ] in
+  List.iter
+    (fun (op, message) ->
+      expect
+        (Printf.sprintf
+           "func f(x: f64, n: int): f64 { var k: int = 4 %s n; return x * itof(k); }"
+           op)
+        [ "1.5"; "0" ]
+        (List.map
+           (fun (cmd, extra) -> (cmd, extra, message))
+           [ ("run", []); ("validate", []); ("analyze", []); ("tune", threshold);
+             ("search", threshold) ]))
+    [ ("/", "integer division by zero"); ("%", "integer modulo by zero") ];
+  let sampled =
+    [ "--threshold"; "1"; "--samples"; "64"; "--dist"; "x=uniform:2,3" ]
+  in
+  expect
+    "func f(x: f64): f64 { var a: f64[2]; a[0] = x; a[1] = x * x; var k: int = ftoi(x); return a[k] + x; }"
+    [ "1.5" ]
+    [ ("tune", sampled, "index out of bounds"); ("search", sampled, "index out of bounds") ]
+
 (* ------------------------------------------------------------------ *)
 (* An in-process daemon on a temporary Unix socket. [f] gets a connect
    function; every connection it opens is closed before the drain, so
@@ -472,6 +510,8 @@ let () =
           Alcotest.test_case "sensitivity" `Quick test_sensitivity;
           Alcotest.test_case "errors" `Quick test_errors_reported;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
+          Alcotest.test_case "compiled run failures" `Quick
+            test_compiled_run_failures;
           Alcotest.test_case "push/pop errors" `Quick test_push_pop_errors;
           Alcotest.test_case "compiled bounds error" `Quick
             test_compiled_bounds_error;

@@ -881,8 +881,8 @@ let test_compile_counter_matches_interp_counter () =
   in
   let tc, cc =
     count (fun counter ->
-        let c = Compile.compile ~counter ~optimize:false ~prog ~func:"f" () in
-        ignore (Compile.run_float c [ Interp.Aflt 0.3 ]))
+        let c = Compile.compile ~meter:true ~optimize:false ~prog ~func:"f" () in
+        ignore (Compile.run_float ~counter c [ Interp.Aflt 0.3 ]))
   in
   Alcotest.(check (float 1e-9)) "same modelled cost" ti tc;
   Alcotest.(check int) "same casts" ci cc
