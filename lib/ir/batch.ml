@@ -509,10 +509,6 @@ let default_fallback t config =
   Compile.compile ?builtins:t.builtins_opt ~config ~mode:t.mode ~meter:t.meter
     ~optimize:t.optimize ~prog:t.prog ~func:t.func_name ()
 
-(* Lane runs never write the sink: [Record_*] calls go through their
-   closures. *)
-let no_sink = Lower.sink 0
-
 (* The one lane runner: lane [l] runs [inputs.(l)] under [configs.(l)].
    Both axes are this function. *)
 let run_lanes ~span ~runs ?counters ?fallback t ~configs inputs =
@@ -532,10 +528,12 @@ let run_lanes ~span ~runs ?counters ?fallback t ~configs inputs =
   Metrics.set_gauge lanes_g (float_of_int k);
   Metrics.incr runs;
   let fmts = formats t configs in
+  (* Lane runs never write the sink: [Record_*] calls go through their
+     closures. *)
   let env =
     Lower.env lw
       ~fstacks:(Array.init k (fun _ -> Growable.Float.create ()))
-      ~counters ~sink:no_sink
+      ~counters ~sink:Lower.no_sink
       ~lanes:{ fmts; active = Array.make k true; dropped = 0; ints = Array.make k 0 }
   in
   (* Arguments load per lane with storage-format rounding; caller arrays

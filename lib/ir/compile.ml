@@ -201,14 +201,25 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
   Lowering.lower config ~builtins ~mode ~meter ~prog
     (Lower.prepare ~opaque ~optimize prog func)
 
+(* The counter of every run of an unmetered lowering without one of its
+   own: nothing charges it. *)
+let no_counter = Cost.Counter.create Cost.default
+
 let run ?counter ?sink:s (t : t) (args : Interp.arg list) : Interp.result =
   Lower.check_arity t args;
+  (* Without a counter or a sink, a run makes one only if its body
+     charges or records, and keeps it private so concurrent domains
+     never share one; the shared ones are never written. *)
   let counter =
-    (* without a counter, charge into a fresh private accumulator (kept
-       per run so concurrent domains never share one) *)
-    match counter with Some c -> c | None -> Cost.Counter.create Cost.default
+    match counter with
+    | Some c -> c
+    | None -> if t.meter then Cost.Counter.create Cost.default else no_counter
   in
-  let sink = match s with Some s -> s | None -> sink 0 in
+  let sink =
+    match s with
+    | Some s -> s
+    | None -> if t.records then sink 0 else Lower.no_sink
+  in
   let env =
     Lower.env t ~fstacks:[| Growable.Float.create () |] ~counters:[| counter |] ~sink
       ~lanes:Lower.no_lanes

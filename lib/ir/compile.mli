@@ -93,10 +93,12 @@ val run :
 (** Execute the compiled function. The same compiled value can be run
     many times (including concurrently from several domains); arrays
     passed as arguments are shared and mutated. [counter] receives the
-    run's metered costs; without one they go to a fresh private
-    accumulator (charges dropped). [sink] receives the run's
+    run's metered costs; without one, a metered compilation's charges
+    go to a fresh private accumulator and are dropped (an unmetered one
+    charges nothing and gets none). [sink] receives the run's
     recordings; without one they go to an empty sink, where
-    [Record_total] and [Record_range] fail.
+    [Record_total] and [Record_range] fail (a function that records
+    nothing shares one empty sink across runs and allocates none).
     @raise Interp.Runtime_error naming the function when the run indexes
     an array out of bounds, pops an empty stack, records into a sink
     too small or divides an int by zero (the compiled code does not

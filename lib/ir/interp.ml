@@ -172,8 +172,7 @@ module Make (L : LANE) = struct
     lane : L.st;
     fstack : Growable.Float.t;
     lstack : L.t Growable.t;  (* the lanes of [fstack], in step *)
-    istack : int Growable.t;
-    mutable ipeak : int;
+    istack : Growable.Int.t;
     mutable fuel : int;  (* negative = unlimited *)
   }
 
@@ -209,10 +208,7 @@ module Make (L : LANE) = struct
         charge_op st.counter Fp.F64 cls;
         VF (raw, Fp.F64, d)
 
-  let push_int st n =
-    Growable.push st.istack n;
-    if Growable.length st.istack > st.ipeak then
-      st.ipeak <- Growable.length st.istack
+  let push_int st n = Growable.Int.push st.istack n
 
   let push_float st x d =
     Growable.Float.push st.fstack x;
@@ -444,8 +440,8 @@ module Make (L : LANE) = struct
             c.d <- Growable.pop st.lstack;
             L.store st.lane name c.f c.d
         | Si c, Lvar _ ->
-            check_pop (Growable.is_empty st.istack) lv;
-            c.i <- Growable.pop st.istack
+            check_pop (Growable.Int.is_empty st.istack) lv;
+            c.i <- Growable.Int.pop st.istack
         | Sfa { a; da; _ }, Lidx (name, ie) ->
             let i = eval_int st scope ie in
             check_index name (Array.length a) i;
@@ -456,8 +452,8 @@ module Make (L : LANE) = struct
         | Sia a, Lidx (name, ie) ->
             let i = eval_int st scope ie in
             check_index name (Array.length a) i;
-            check_pop (Growable.is_empty st.istack) lv;
-            a.(i) <- Growable.pop st.istack
+            check_pop (Growable.Int.is_empty st.istack) lv;
+            a.(i) <- Growable.Int.pop st.istack
         | _, _ -> fail "pop: kind mismatch")
 
   and exec_block st scope stmts =
@@ -540,8 +536,7 @@ module Make (L : LANE) = struct
         lane;
         fstack = Growable.Float.create ();
         lstack = Growable.create ~dummy:L.zero ();
-        istack = Growable.create ~dummy:0 ();
-        ipeak = 0;
+        istack = Growable.Int.create ();
         fuel;
       }
     in
@@ -570,7 +565,8 @@ module Make (L : LANE) = struct
       ret;
       outs;
       stack_peak_bytes =
-        (Growable.Float.peak_length st.fstack * 8) + (st.ipeak * 8);
+        (Growable.Float.peak_length st.fstack * 8)
+        + (Growable.Int.peak_length st.istack * 8);
     }
 end
 

@@ -21,7 +21,10 @@
    arrays and the int stack are shared by the lanes; float stacks and
    cost counters are per lane, and lane 0's also have fields of their
    own, which save the scalar emitter an array read per charge and per
-   push or pop. *)
+   push or pop. The value stacks are chunked ({!Cheffp_util.Growable}):
+   a run that pushes nothing, as every primal run, allocates no chunk,
+   and one that pushes holds its modelled [stack_peak_bytes] plus less
+   than one chunk per stack. *)
 
 open Ast
 module Fp = Cheffp_precision.Fp
@@ -47,6 +50,11 @@ let sink n =
     hi = Array.make n Float.neg_infinity;
     iters = Hashtbl.create 16;
   }
+
+(* The sink of every run whose lowering has no [Record_*] write. It is
+   never written: a lowering with such writes gets a sink per run, since
+   [iters] would otherwise leak across runs and domains. *)
+let no_sink = sink 0
 
 (* The state of a lane run; a scalar run has none. *)
 type lanes = {
@@ -214,11 +222,14 @@ module type EMITTER = sig
 end
 
 (* A lowered function: its body, the constants in their slots (zeros
-   elsewhere), the slot counts, and its parameters' bindings. *)
+   elsewhere), the slot counts, its parameters' bindings, and whether
+   its runs use a counter or a sink. *)
 type 'fmt lowered = {
   func : Ast.func;
   body : instr;
   ends : ending;  (** how the body ends when it runs to completion *)
+  meter : bool;  (** the body charges the run's counters *)
+  records : bool;  (** the body writes the run's sink *)
   consts : float array;
   nit : int;
   nfa : int;
@@ -241,6 +252,7 @@ module Make (E : EMITTER) = struct
     let fresh_f = fresh nfl and fresh_i = fresh nit in
     let fresh_fa = fresh nfa and fresh_ia = fresh nia in
     let sc = { frames = [ [] ] } in
+    let records = ref false in
 
     (* Constants live in slots of their own, preset by the runner. *)
     let consts : (int64, int) Hashtbl.t = Hashtbl.create 16 in
@@ -406,7 +418,11 @@ module Make (E : EMITTER) = struct
             Some (computed (fun d -> E.select d c a.at b.at))
         | Some Itof, [ Ai g ] -> Some (computed (fun d -> E.itof d g))
         | Some p, _ ->
-            Option.map (fun (at, op) -> (at, op, false)) (E.record p largs)
+            Option.map
+              (fun (at, op) ->
+                records := true;
+                (at, op, false))
+              (E.record p largs)
         | None, _ -> None
       in
       let at, op, own =
@@ -762,6 +778,8 @@ module Make (E : EMITTER) = struct
       func = f;
       body;
       ends;
+      meter;
+      records = !records;
       consts = consts_init;
       nit = !nit;
       nfa = !nfa;

@@ -209,6 +209,27 @@ let arbitrary_case : (program * (float * float)) QCheck.arbitrary =
       Printf.sprintf "x=%.17g y=%.17g\n%s" x y (Pp.program_to_string p))
     (G.pair gen_program gen_inputs)
 
+(* Bit identity of two runs' results: floats agree by their bits (so a
+   NaN matches the same NaN, and -0.0 does not match 0.0), everything
+   else exactly. *)
+let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_floats a b =
+  Array.length a = Array.length b && Array.for_all2 same_float a b
+
+let same_value (a : Builtins.value) (b : Builtins.value) =
+  match (a, b) with
+  | F x, F y -> same_float x y
+  | I m, I n -> m = n
+  | _, _ -> false
+
+let same_result (a : Interp.result) (b : Interp.result) =
+  Option.equal same_value a.ret b.ret
+  && List.equal
+       (fun (n, v) (n', v') -> String.equal n n' && same_value v v')
+       a.outs b.outs
+  && a.stack_peak_bytes = b.stack_peak_bytes
+
 (* ------------------------------------------------------------------ *)
 (* Mixed-precision variants, for the shadow-oracle fuzz properties:    *)
 (* the same program shapes, but with randomly narrowed declarations    *)

@@ -1071,6 +1071,25 @@ let test_compile_run_allocation_flat () =
         [ false; true ])
     [ ("all-F64", Config.double); ("uniform-F32", Config.uniform Fp.F32) ]
 
+(* A run allocates only what it uses: its empty stacks allocate no
+   chunk, and a run without a counter or a sink shares an empty one
+   when its body neither charges nor records. *)
+let test_compile_run_words () =
+  let prog = Parser.parse_program alloc_src in
+  let c = Compile.compile ~prog ~func:"f" () in
+  let args = [ Interp.Aflt 1.7; Interp.Aint 10 ] in
+  ignore (Compile.run c args);
+  let runs = 1000 in
+  let per_run =
+    minor_words (fun () ->
+        for _ = 1 to runs do
+          ignore (Compile.run c args)
+        done)
+    /. float_of_int runs
+  in
+  if per_run > 96. then
+    Alcotest.failf "%.1f minor words per run (bound 96)" per_run
+
 let test_estimate_run_allocation_flat () =
   let module E = Cheffp_core.Estimate in
   let module A = Cheffp_benchmarks.Arclength in
@@ -1331,6 +1350,8 @@ let () =
             test_compile_run_allocation_flat;
           Alcotest.test_case "estimate run flat in trip count" `Quick
             test_estimate_run_allocation_flat;
+          Alcotest.test_case "compiled run words bounded" `Quick
+            test_compile_run_words;
         ] );
       ( "compile-cache",
         [

@@ -415,7 +415,7 @@ let fuzz_input_sweep_bit_identity =
       | Some scalar ->
           let b = Batch.compile ~prog ~func:"fuzz" () in
           let r = Batch.run_inputs b ~config inputs in
-          Array.for_all2 (fun lane s -> lane = s) r.Batch.lanes scalar)
+          Array.for_all2 Gen_minifp.same_result r.Batch.lanes scalar)
 
 (* And the chunked multi-sweep entry point preserves the same contract
    across lane widths and domain counts. *)
@@ -443,7 +443,9 @@ let fuzz_run_inputs_many_invariance =
           let b = Batch.compile ~prog ~func:"fuzz" () in
           List.for_all
             (fun (jobs, lanes) ->
-              Batch.run_inputs_many ~jobs ~lanes b ~config inputs = scalar)
+              Gen_minifp.same_floats
+                (Batch.run_inputs_many ~jobs ~lanes b ~config inputs)
+                scalar)
             [ (1, 2); (1, 6); (2, 3) ])
 
 (* ------------------------------------------------------------------ *)

@@ -119,6 +119,197 @@ let qcheck_growable_lifo =
       popped = l)
 
 (* ------------------------------------------------------------------ *)
+(* Chunked stacks                                                     *)
+
+(* [Growable.Float] and [Growable.Int] seen as stacks of ints, so one
+   set of checks covers both. *)
+module type STACK = sig
+  type t
+
+  val name : string
+  val create : unit -> t
+  val length : t -> int
+  val push : t -> int -> unit
+  val pop : t -> int
+  val get : t -> int -> int
+  val set : t -> int -> int -> unit
+  val top : t -> int
+  val is_empty : t -> bool
+  val clear : t -> unit
+  val peak_length : t -> int
+end
+
+module Float_stack : STACK = struct
+  include Growable.Float
+
+  let name = "Float"
+  let push t i = push t (float_of_int i)
+  let pop t = int_of_float (pop t)
+  let get t i = int_of_float (get t i)
+  let set t i x = set t i (float_of_int x)
+  let top t = int_of_float (top t)
+end
+
+module Int_stack : STACK = struct
+  include Growable.Int
+
+  let name = "Int"
+end
+
+module Stack_checks (S : STACK) = struct
+  let cap = Growable.chunk_cap
+  let check_int msg = Alcotest.(check int) (S.name ^ ": " ^ msg)
+
+  let push_range t lo hi =
+    for i = lo to hi - 1 do
+      S.push t i
+    done
+
+  (* Chunks of 16, 32, ... up to [cap] fill [cap - 16] elements, so
+     [4 * cap + 5] elements end three full capped chunks into a partial
+     one. *)
+  let across_chunks () =
+    let n = (4 * cap) + 5 in
+    let t = S.create () in
+    check_int "new stack" 0 (S.peak_length t);
+    push_range t 0 n;
+    check_int "length" n (S.length t);
+    check_int "peak" n (S.peak_length t);
+    check_int "top" (n - 1) (S.top t);
+    let bad = ref 0 in
+    for i = 0 to n - 1 do
+      if S.get t i <> i then incr bad
+    done;
+    check_int "get across chunks" 0 !bad;
+    (* Last and first elements of chunks, below and past the cap. *)
+    let edges =
+      [ 15; 16; 47; 48; cap - 17; cap - 16; (2 * cap) - 17; (2 * cap) - 16; n - 1 ]
+    in
+    List.iter
+      (fun i ->
+        S.set t i (-i);
+        check_int (Printf.sprintf "set/get %d" i) (-i) (S.get t i))
+      edges;
+    check_int "top after set" (-(n - 1)) (S.top t);
+    List.iter (fun i -> S.set t i i) edges;
+    let bad = ref 0 in
+    for i = n - 1 downto 0 do
+      if S.pop t <> i then incr bad;
+      if S.length t <> i then incr bad
+    done;
+    check_int "pops reverse pushes" 0 !bad;
+    check_int "peak kept" n (S.peak_length t);
+    Alcotest.(check bool) (S.name ^ ": empty") true (S.is_empty t);
+    Alcotest.check_raises "pop empty"
+      (Invalid_argument (Printf.sprintf "Growable.%s.pop: empty" S.name))
+      (fun () -> ignore (S.pop t));
+    Alcotest.check_raises "top empty"
+      (Invalid_argument (Printf.sprintf "Growable.%s.top: empty" S.name))
+      (fun () -> ignore (S.top t));
+    Alcotest.check_raises "get out of bounds"
+      (Invalid_argument
+         (Printf.sprintf "Growable.%s: index 0 out of bounds [0,0)" S.name))
+      (fun () -> ignore (S.get t 0))
+
+  (* Back and forth over the boundary between the first two chunks. *)
+  let straddled_boundary () =
+    let t = S.create () in
+    push_range t 0 16;
+    for round = 1 to 4 do
+      S.push t (100 * round);
+      S.push t ((100 * round) + 1);
+      check_int "length past the boundary" 18 (S.length t);
+      check_int "top past the boundary" ((100 * round) + 1) (S.top t);
+      check_int "pop" ((100 * round) + 1) (S.pop t);
+      check_int "pop" (100 * round) (S.pop t);
+      check_int "top at the boundary" 15 (S.top t);
+      check_int "pop back across" 15 (S.pop t);
+      check_int "pop" 14 (S.pop t);
+      S.push t 14;
+      S.push t 15;
+      check_int "get below" 15 (S.get t 15)
+    done;
+    check_int "peak" 18 (S.peak_length t);
+    check_int "length" 16 (S.length t)
+
+  let clear () =
+    let t = S.create () in
+    push_range t 0 100;
+    S.clear t;
+    check_int "cleared length" 0 (S.length t);
+    check_int "peak reset" 0 (S.peak_length t);
+    Alcotest.check_raises "pop cleared"
+      (Invalid_argument (Printf.sprintf "Growable.%s.pop: empty" S.name))
+      (fun () -> ignore (S.pop t));
+    push_range t 0 40;
+    check_int "peak after refill" 40 (S.peak_length t);
+    check_int "get after refill" 20 (S.get t 20);
+    check_int "top after refill" 39 (S.top t)
+end
+
+module Float_checks = Stack_checks (Float_stack)
+module Int_checks = Stack_checks (Int_stack)
+
+(* Bytes [f] allocates. A minor collection on each side makes the count
+   exact: on OCaml 5.1 [Gc.allocated_bytes] undercounts the words still
+   in the minor heap until a minor collection, and large allocations
+   can trigger one at any point. *)
+let allocated_bytes f =
+  Gc.minor ();
+  let b0 = Gc.allocated_bytes () in
+  f ();
+  Gc.minor ();
+  Gc.allocated_bytes () -. b0
+
+(* A stack allocates what it holds plus less than one chunk, with no
+   growth copies, and a push/pop sequence around a chunk boundary
+   allocates nothing once the chunks exist. *)
+let test_stack_allocation () =
+  let cap = Growable.chunk_cap in
+  let n = (3 * cap) + 5 in
+  let bound = float_of_int ((8 * (n + cap)) + 1024) in
+  let check name bytes =
+    if bytes > bound then
+      Alcotest.failf "%s: %.0f bytes for %d elements (bound %.0f)" name bytes
+        n bound
+  in
+  let src = [| 0.5 |] and dst = [| 0. |] in
+  let g = Growable.Float.create () and st = Growable.Int.create () in
+  check "Float"
+    (allocated_bytes (fun () ->
+         for _ = 1 to n do
+           Growable.Float.push_from g src 0
+         done));
+  check "Int"
+    (allocated_bytes (fun () ->
+         for i = 1 to n do
+           Growable.Int.push st i
+         done));
+  let g = Growable.Float.create () and st = Growable.Int.create () in
+  for _ = 1 to 17 do
+    Growable.Float.push_from g src 0;
+    Growable.Int.push st 0
+  done;
+  let bytes =
+    allocated_bytes (fun () ->
+        for _ = 1 to 1000 do
+          Growable.Float.pop_into g dst 0;
+          Growable.Float.pop_into g dst 0;
+          Growable.Float.push_from g src 0;
+          Growable.Float.push_from g src 0;
+          ignore (Growable.Int.pop st);
+          ignore (Growable.Int.pop st);
+          Growable.Int.push st 0;
+          Growable.Int.push st 0
+        done)
+  in
+  let idle = allocated_bytes ignore in
+  if bytes > idle +. 64. then
+    Alcotest.failf
+      "%.0f bytes for 1000 round trips over a chunk boundary (%.0f idle)"
+      bytes idle
+
+(* ------------------------------------------------------------------ *)
 (* Rng                                                                *)
 
 let test_rng_determinism () =
@@ -636,6 +827,19 @@ let () =
             test_growable_moves_and_int_stack;
           QCheck_alcotest.to_alcotest qcheck_growable_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_growable_lifo;
+        ] );
+      ( "stacks",
+        [
+          Alcotest.test_case "float: across chunks" `Quick
+            Float_checks.across_chunks;
+          Alcotest.test_case "int: across chunks" `Quick Int_checks.across_chunks;
+          Alcotest.test_case "float: straddled boundary" `Quick
+            Float_checks.straddled_boundary;
+          Alcotest.test_case "int: straddled boundary" `Quick
+            Int_checks.straddled_boundary;
+          Alcotest.test_case "float: clear" `Quick Float_checks.clear;
+          Alcotest.test_case "int: clear" `Quick Int_checks.clear;
+          Alcotest.test_case "allocation" `Quick test_stack_allocation;
         ] );
       ( "rng",
         [
