@@ -1116,7 +1116,7 @@ let same_wire a b =
 (* Run the request's exact code path in-process: handler defaults
    (target f32, hybrid, prune_margin 64, default lanes, jobs 1, shadow
    Source-mode measure) on the reparsed source — see
-   [Cheffp_server.Server.handle_search]. *)
+   [Cheffp_server.Api.search]. *)
 let direct_outcome w =
   let builtins = Cheffp_ir.Builtins.create () in
   Cheffp_fastapprox.Fastapprox.register_builtins builtins;

@@ -1,16 +1,12 @@
-(* cheffp: command-line front end to the CHEF-FP reproduction.
-
-   Subcommands:
-     check     parse, type-check and pretty-print a MiniFP file
-     run       execute a function (optionally under a mixed-precision
-               configuration, with modelled cost accounting)
-     gradient  generate and print the reverse-mode adjoint
-     analyze   run CHEF-FP error estimation and print the report
-     tune      greedy mixed-precision tuning against a threshold
+(* cheffp: command-line front end to the CHEF-FP reproduction
+   ([cheffp --help] lists the subcommands).
 
    Arguments are passed positionally and typed by the target function's
    signature: scalars as literals, arrays as colon-separated lists
-   (e.g. 1.5:2.5:3.5). *)
+   (e.g. 1.5:2.5:3.5). The commands the daemon serves too (analyze,
+   tune, search, validate) only fill an [Api.request] from their flags
+   and print the report of the daemon's own handler
+   ([Cheffp_server.Api]). *)
 
 open Cmdliner
 open Cheffp_ir
@@ -20,9 +16,11 @@ module Cost = Cheffp_precision.Cost
 module Trace = Cheffp_obs.Trace
 module Metrics = Cheffp_obs.Metrics
 module Export = Cheffp_obs.Export
-module Range = Cheffp_range.Range
-module Rbox = Cheffp_range.Box
-module Rinterval = Cheffp_range.Interval
+module Api = Cheffp_server.Api
+module Json = Cheffp_server.Json
+module Server = Cheffp_server.Server
+module Fpcore_import = Cheffp_fpcore.Import
+module Fpcore_export = Cheffp_fpcore.Export
 
 (* Exit statuses. cmdliner keeps 0, 124 (usage) and 125 (internal). *)
 let exit_unsound = 1
@@ -44,10 +42,7 @@ let exits =
       ~doc:"on an unexpected internal error (a bug).";
   ]
 
-(* A bad option value found by a handler rather than by cmdliner. *)
-exception Usage of string
-
-let usage m = raise (Usage m)
+let usage m = raise (Api.Usage m)
 
 (* A [validate] verdict of UNSOUND. *)
 exception Unsound of string
@@ -59,30 +54,8 @@ let read_file path =
   close_in ic;
   s
 
-let builtins () =
-  let b = Builtins.create () in
-  Cheffp_fastapprox.Fastapprox.register_builtins b;
-  b
-
-let deriv () =
-  let d = Cheffp_ad.Deriv.default () in
-  Cheffp_fastapprox.Fastapprox.register_derivatives d;
-  d
-
-let load path =
-  let prog =
-    Trace.with_span "parse" (fun () ->
-        if Trace.enabled () then Trace.add_attr "file" (Trace.Str path);
-        Parser.parse_program (read_file path))
-  in
-  Trace.with_span "typecheck" (fun () ->
-      Typecheck.check_program ~builtins:(builtins ()) prog);
-  prog
-
-(* ---------------- FPCore front end ---------------- *)
-
-module Fpcore_import = Cheffp_fpcore.Import
-module Fpcore_export = Cheffp_fpcore.Export
+(* One builtins/deriv registry pair per process, as the daemon holds. *)
+let session = Api.session ()
 
 let format_arg =
   Arg.(
@@ -99,48 +72,9 @@ let fpcore_input ~format path =
   | "auto" -> Filename.check_suffix path ".fpcore"
   | other -> usage ("unknown format " ^ other ^ " (auto|minifp|fpcore)")
 
-(* Load either syntax; FPCore inputs also carry per-kernel metadata
-   (sample arguments from [:pre], an embedded precision config). *)
-let load_any ~format path =
-  if fpcore_input ~format path then begin
-    let cores =
-      Trace.with_span "import" (fun () ->
-          if Trace.enabled () then Trace.add_attr "file" (Trace.Str path);
-          Fpcore_import.parse_file path)
-    in
-    let prog = Fpcore_import.program cores in
-    Trace.with_span "typecheck" (fun () ->
-        Typecheck.check_program ~builtins:(builtins ()) prog);
-    (prog, Some cores)
-  end
-  else (load path, None)
-
-let parse_config demote =
-  List.fold_left
-    (fun cfg spec ->
-      match String.split_on_char ':' spec with
-      | [ var; fmt ] -> (
-          match Fp.format_of_string fmt with
-          | Some f -> Config.demote cfg var f
-          | None -> usage ("unknown format " ^ fmt))
-      | _ -> usage ("bad demotion spec " ^ spec ^ " (expected var:fmt)"))
-    Config.double demote
-
-(* Positional args beat [:pre]-derived samples; FPCore kernels analyzed
-   with no explicit arguments fall back to their sample point. *)
-let resolve_args cores func (f : Ast.func) raw =
-  match (raw, cores) with
-  | [], Some cs -> (
-      match Fpcore_import.find cs func with
-      | Some c -> c.Fpcore_import.default_args
-      | None -> Interp.parse_args f raw)
-  | _ -> Interp.parse_args f raw
-
-let model_of_string target = function
-  | "taylor" -> Cheffp_core.Model.taylor ~target ()
-  | "adapt" -> Cheffp_core.Model.adapt ~target ()
-  | "zero" -> Cheffp_core.Model.zero
-  | other -> usage ("unknown model " ^ other ^ " (taylor|adapt|zero)")
+let load ?(format = "minifp") path =
+  let fpcore = fpcore_input ~format path in
+  Api.load session ~file:path ~fpcore (read_file path)
 
 (* ---------------- observability flags ---------------- *)
 
@@ -206,32 +140,12 @@ let wrap f =
   in
   match f () with
   | () -> `Ok Cmd.Exit.ok
-  | exception Usage m -> `Error (true, m)
+  | exception Api.Usage m -> `Error (true, m)
   | exception Unsound m -> fail exit_unsound m
-  | exception
-      ( Failure m | Parser.Error m | Lexer.Error m | Typecheck.Error m
-      | Interp.Runtime_error m | Cheffp_core.Estimate.Error m
-      | Cheffp_core.Sampling.Spec_error m | Cheffp_ad.Reverse.Error m
-      | Cheffp_range.Box.Spec_error m | Cheffp_fpcore.Sexp.Error m
-      | Fpcore_import.Error m | Fpcore_export.Error m | Sys_error m ) ->
-      fail exit_input m
-
-(* A compiled run's failure names the generated function and gives no
-   index: compiled slots carry no names. On such a failure, a pristine
-   copy of the arguments re-runs through the interpreter on the source
-   function, whose message is located ([Interp.locate]). *)
-let located ~prog ~func args f =
-  let pristine = Interp.copy_args args in
-  try f ()
-  with Interp.Runtime_error m ->
-    raise
-      (Interp.Runtime_error
-         (Interp.locate ~builtins:(builtins ()) ~prog ~func pristine m))
-
-let func_exn prog name =
-  match Ast.find_func prog name with
-  | Some f -> f
-  | None -> failwith (Printf.sprintf "no function named %S" name)
+  | exception e -> (
+      match Api.input_error e with
+      | Some m -> fail exit_input m
+      | None -> raise e)
 
 (* ---------------- arguments ---------------- *)
 
@@ -248,13 +162,20 @@ let demote_arg =
   Arg.(value & opt_all string [] & info [ "demote" ] ~docv:"VAR:FMT" ~doc:"Demote a variable (e.g. t:f32). Repeatable.")
 
 let model_arg =
-  Arg.(value & opt string "adapt" & info [ "model" ] ~docv:"MODEL" ~doc:"Error model: taylor, adapt or zero.")
+  Arg.(value & opt string Api.default.model & info [ "model" ] ~docv:"MODEL" ~doc:"Error model: taylor, adapt or zero.")
 
 let target_arg =
-  Arg.(value & opt string "f32" & info [ "target" ] ~docv:"FMT" ~doc:"Demotion target format (f32 or f16).")
+  Arg.(value & opt string Api.default.target & info [ "target" ] ~docv:"FMT" ~doc:"Demotion target format (f32 or f16).")
 
 let threshold_arg =
   Arg.(required & opt (some float) None & info [ "threshold" ] ~docv:"T" ~doc:"Error threshold.")
+
+let fuel_arg =
+  Arg.(
+    value
+    & opt int Api.default.fuel
+    & info [ "fuel" ] ~docv:"N"
+        ~doc:"Abort after N executed statements (guard against runaway loops).")
 
 let jobs_arg =
   Arg.(
@@ -269,7 +190,7 @@ let jobs_arg =
 let batch_arg =
   Arg.(
     value
-    & opt int Batch.default_lanes
+    & opt int Api.default.batch
     & info [ "batch" ] ~docv:"K"
         ~doc:
           "Evaluate candidate configurations K per lane-parallel sweep \
@@ -282,14 +203,10 @@ let no_batch_arg =
     & info [ "no-batch" ]
         ~doc:"Disable batched evaluation; run every candidate scalar.")
 
-(* --batch K unless --no-batch (or a degenerate K) turned it off. *)
-let batch_of ~batch ~no_batch =
-  if no_batch || batch < 2 then None else Some batch
-
 let strategy_arg =
   Arg.(
     value
-    & opt string "hybrid"
+    & opt string Api.default.strategy
     & info [ "strategy" ] ~docv:"S"
         ~doc:
           "Candidate-judging strategy: $(b,measured) executes every \
@@ -301,15 +218,10 @@ let strategy_arg =
            speculation past a failure — chosen set bit-identical to \
            measured, strictly fewer runs.")
 
-let strategy_of s =
-  match Cheffp_core.Search.strategy_of_string s with
-  | Some st -> st
-  | None -> usage ("unknown strategy " ^ s ^ " (measured|modelled|hybrid)")
-
 let prune_margin_arg =
   Arg.(
     value
-    & opt float 64.
+    & opt float Api.default.prune_margin
     & info [ "prune-margin" ] ~docv:"M"
         ~doc:
           "Hybrid model-distrust margin (>= 1): a candidate set is \
@@ -318,16 +230,11 @@ let prune_margin_arg =
            score exceeds M times the threshold. Decisions stay \
            measured; M only shifts where executions are saved.")
 
-let target_of s =
-  match Fp.format_of_string s with
-  | Some f -> f
-  | None -> usage ("unknown format " ^ s)
-
 (* ---------------- Monte-Carlo input sampling ---------------- *)
 
 let samples_arg =
   Arg.(
-    value & opt int 0
+    value & opt int Api.default.samples
     & info [ "samples" ] ~docv:"N"
         ~doc:
           "Monte-Carlo input sampling: draw $(docv) argument vectors from \
@@ -339,7 +246,7 @@ let samples_arg =
 let dist_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some string) Api.default.dist
     & info [ "dist" ] ~docv:"SPEC"
         ~doc:
           "Per-variable input distributions, entries separated by spaces or \
@@ -350,7 +257,7 @@ let dist_arg =
 
 let seed_arg =
   Arg.(
-    value & opt int 42
+    value & opt int Api.default.seed
     & info [ "seed" ] ~docv:"S"
         ~doc:
           "Sampling seed. Sample i is a pure function of (seed, i): streams \
@@ -358,58 +265,13 @@ let seed_arg =
 
 let target_quantile_arg =
   Arg.(
-    value & opt float 0.99
+    value & opt float Api.default.target_quantile
     & info [ "target-quantile" ] ~docv:"Q"
         ~doc:
           "With --samples: the error quantile the threshold applies to \
            (0.99 = p99, 0.5 = median, 1.0 = sampled max). Default 0.99.")
 
-(* The kernel's FPCore [:pre] ranges, when the input came through the
-   FPCore front end — consumed by both the sampling plan and the
-   rigorous range box. *)
-let kernel_ranges cores func =
-  match cores with
-  | Some cs -> (
-      match Fpcore_import.find cs func with
-      | Some c -> c.Fpcore_import.ranges
-      | None -> [])
-  | None -> []
-
-(* Resolve the per-variable sampling plan: explicit --dist entries win,
-   then the kernel's FPCore [:pre] box, then the default box. *)
-let sampling_plan ~dist cores func (f : Ast.func) args =
-  let dists =
-    match dist with
-    | Some s -> Cheffp_core.Sampling.dists_of_string s
-    | None -> []
-  in
-  Cheffp_core.Sampling.plan ~dists ~ranges:(kernel_ranges cores func) ~func:f
-    ~args ()
-
 (* ---------------- rigorous range bounds ---------------- *)
-
-(* A sampling plan's support as a range box: [None] when any draw has
-   unbounded support (Normal) — no finite box covers it, so rigorous
-   pruning must stay off. *)
-let box_of_plan plan =
-  let exception Unbounded_support in
-  try
-    Some
-      (Rbox.make
-         (List.map
-            (fun (name, view) ->
-              let dim =
-                match view with
-                | `Fixed a -> Rbox.Dfixed a
-                | `Interval (lo, hi) -> Rbox.Dflt (Rinterval.make lo hi)
-                | `Intervals pairs ->
-                    Rbox.Dfarr
-                      (Array.map (fun (lo, hi) -> Rinterval.make lo hi) pairs)
-                | `Unbounded -> raise Unbounded_support
-              in
-              (name, dim))
-            (Cheffp_core.Sampling.box_view plan)))
-  with Unbounded_support -> None
 
 let range_arg =
   Arg.(
@@ -427,7 +289,7 @@ let range_arg =
 let box_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some string) Api.default.box
     & info [ "box" ] ~docv:"SPEC"
         ~doc:
           "Override range-analysis input intervals: 'x=lo,hi; y=lo,hi' \
@@ -436,26 +298,36 @@ let box_arg =
 
 let range_backend_arg =
   Arg.(
-    value & opt string "bb"
+    value & opt string Api.default.range_backend
     & info [ "range-backend" ] ~docv:"B"
         ~doc:
           "Global-bound backend: $(b,bb) (branch-and-bound box splitting, \
            default) or $(b,whole) (single evaluation of the whole box).")
 
-(* The analysis box for explicit range analysis: :pre ranges over the
-   default box, --box on top. *)
-let range_box ~boxspec cores func (f : Ast.func) args =
-  let box = Rbox.of_args ~ranges:(kernel_ranges cores func) ~func:f ~args () in
-  match boxspec with
-  | Some spec -> Rbox.apply_override box (Rbox.override_of_string spec)
-  | None -> box
-
 (* ---------------- commands ---------------- *)
+
+(* A command the daemon serves too: [request] fills an [Api.request]
+   from the flags, [handler] is the daemon's own, and the CLI prints its
+   report; [check] inspects the result object. *)
+let shared name ~doc ?(check = ignore) handler request =
+  let run obs path format (req : Api.request) =
+    wrap (fun () ->
+        with_obs ~cmd:name obs @@ fun () ->
+        let fpcore = fpcore_input ~format path in
+        let req =
+          { req with program = read_file path; file = Some path; fpcore }
+        in
+        let result, report = handler session req in
+        print_string report;
+        check result)
+  in
+  Cmd.v (Cmd.info name ~exits ~doc)
+    Term.(ret (const run $ obs_term $ file_arg $ format_arg $ request))
 
 let check_cmd =
   let run file =
     wrap (fun () ->
-        let prog = load file in
+        let prog = (load file).prog in
         print_string (Pp.program_to_string prog);
         Printf.printf "// %d function(s), OK\n" (List.length prog.Ast.funcs))
   in
@@ -465,13 +337,12 @@ let check_cmd =
 let run_cmd =
   let run file func demote fuel raw =
     wrap (fun () ->
-        let prog = load file in
-        let f = func_exn prog func in
-        let args = Interp.parse_args f raw in
-        let config = parse_config demote in
+        let config = (Api.decode { Api.default with demote }).config in
+        let prog = (load file).prog in
+        let args = Interp.parse_args (Api.func_exn prog func) raw in
         let counter = Cost.Counter.create Cost.default in
         let r =
-          Interp.run ~builtins:(builtins ()) ~config ~counter ~fuel ~prog
+          Interp.run ~builtins:session.builtins ~config ~counter ~fuel ~prog
             ~func args
         in
         (match r.Interp.ret with
@@ -487,11 +358,6 @@ let run_cmd =
         Printf.printf "modelled cost: %.1f units, %d implicit casts\n"
           (Cost.Counter.total counter) (Cost.Counter.casts counter))
   in
-  let fuel_arg =
-    Arg.(value & opt int (-1)
-         & info [ "fuel" ] ~docv:"N"
-             ~doc:"Abort after N executed statements (guard against runaway loops).")
-  in
   Cmd.v
     (Cmd.info "run" ~exits
        ~doc:"Execute a function, optionally under a mixed-precision configuration.")
@@ -500,8 +366,8 @@ let run_cmd =
 let gradient_cmd =
   let run file func =
     wrap (fun () ->
-        let prog = load file in
-        let g = Cheffp_ad.Reverse.differentiate ~deriv:(deriv ()) prog func in
+        let prog = (load file).prog in
+        let g = Cheffp_ad.Reverse.differentiate ~deriv:session.deriv prog func in
         print_endline (Pp.func_to_string g))
   in
   Cmd.v
@@ -509,115 +375,21 @@ let gradient_cmd =
     Term.(ret (const run $ file_arg $ func_arg))
 
 let analyze_cmd =
-  let run file func model target show_code format samples dist seed range
-      boxspec range_backend obs raw =
-    wrap (fun () ->
-        with_obs ~cmd:"analyze" obs @@ fun () ->
-        let prog, cores = load_any ~format file in
-        let f = func_exn prog func in
-        let target = target_of target in
-        let model = model_of_string target model in
-        let est =
-          Cheffp_core.Estimate.estimate_error ~model ~deriv:(deriv ())
-            ~builtins:(builtins ())
-            ~options:
-              {
-                Cheffp_core.Estimate.default_options with
-                track_ranges = true;
-              }
-            ~prog ~func ()
-        in
-        if show_code then begin
-          print_endline "// generated error-estimating adjoint:";
-          print_endline (Pp.func_to_string (Cheffp_core.Estimate.generated est))
-        end;
-        let args = resolve_args cores func f raw in
-        located ~prog ~func args @@ fun () ->
-        let r = Cheffp_core.Estimate.run est args in
-        Printf.printf "model: %s\n" model.Cheffp_core.Model.model_name;
-        print_string (Cheffp_core.Report.estimate r);
-        if samples > 0 then begin
-          let plan = sampling_plan ~dist cores func f args in
-          let summary =
-            Cheffp_core.Estimate.run_sampled est ~plan
-              ~seed:(Int64.of_int seed) ~samples
-          in
-          print_string
-            (Cheffp_core.Report.sampled
-               ~plan:(Cheffp_core.Sampling.describe plan)
-               summary)
-        end;
-        if range then begin
-          let box = range_box ~boxspec cores func f args in
-          let a =
-            Trace.with_span "range.analyze" (fun () ->
-                Range.analyze ~backend:range_backend ~builtins:(builtins ())
-                  ~prog ~func ~box ())
-          in
-          print_string (Range.report ~target a)
-        end)
-  in
   let show_code =
     Arg.(value & flag & info [ "show-code" ] ~doc:"Print the generated adjoint.")
   in
-  Cmd.v
-    (Cmd.info "analyze" ~exits
-       ~doc:"Estimate the floating-point error of a function (CHEF-FP).")
+  shared "analyze" Api.analyze
+    ~doc:"Estimate the floating-point error of a function (CHEF-FP)."
     Term.(
-      ret (const run $ file_arg $ func_arg $ model_arg $ target_arg $ show_code
-           $ format_arg $ samples_arg $ dist_arg $ seed_arg $ range_arg
-           $ box_arg $ range_backend_arg $ obs_term $ rest_args))
+      const
+        (fun func model target show_code samples dist seed range box
+             range_backend args ->
+          { Api.default with func; model; target; show_code; samples; dist;
+            seed; range; box; range_backend; args })
+      $ func_arg $ model_arg $ target_arg $ show_code $ samples_arg $ dist_arg
+      $ seed_arg $ range_arg $ box_arg $ range_backend_arg $ rest_args)
 
 let tune_cmd =
-  let run file func threshold target emit profiled format jobs batch no_batch
-      samples dist seed obs raw =
-    wrap (fun () ->
-        with_obs ~cmd:"tune" obs @@ fun () ->
-        let prog, cores = load_any ~format file in
-        let f = func_exn prog func in
-        let args = resolve_args cores func f raw in
-        let target = target_of target in
-        located ~prog ~func args @@ fun () ->
-        let profile =
-          if profiled then
-            Some
-              (Cheffp_core.Profile.build_cached ~builtins:(builtins ()) ~prog
-                 ~func ~args ())
-          else None
-        in
-        let o =
-          Cheffp_core.Tuner.tune ?profile ~target ~builtins:(builtins ())
-            ~jobs ?batch:(batch_of ~batch ~no_batch) ~prog ~func ~args
-            ~threshold ()
-        in
-        print_string (Cheffp_core.Report.tuning o);
-        if samples > 0 then begin
-          (* Post-hoc distributional check of the chosen configuration:
-             measured |demoted - double| quantiles over the sampled
-             input box, through the batched input-sweep axis. *)
-          let plan = sampling_plan ~dist cores func f args in
-          let inputs =
-            Cheffp_core.Sampling.draw_many plan ~seed:(Int64.of_int seed)
-              samples
-          in
-          let summary, _ =
-            Cheffp_core.Sampling.measured_summary ~jobs
-              ~builtins:(builtins ()) ~prog ~func
-              ~config:o.Cheffp_core.Tuner.evaluation.Cheffp_core.Tuner.config
-              inputs
-          in
-          print_string
-            (Cheffp_core.Report.sampled
-               ~plan:(Cheffp_core.Sampling.describe plan)
-               summary)
-        end;
-        if emit then begin
-          print_endline "\n// automatically rewritten mixed-precision source:";
-          print_endline
-            (Pp.func_to_string
-               (Cheffp_core.Rewrite.of_outcome prog ~func o))
-        end)
-  in
   let emit_arg =
     Arg.(value & flag
          & info [ "emit" ]
@@ -632,125 +404,36 @@ let tune_cmd =
              gradient-augmented run, reused across invocations in the same \
              process) instead of a fresh adapt-model analysis.")
   in
-  Cmd.v
-    (Cmd.info "tune" ~exits ~doc:"Greedy mixed-precision tuning against an error threshold.")
+  shared "tune" Api.tune
+    ~doc:"Greedy mixed-precision tuning against an error threshold."
     Term.(
-      ret (const run $ file_arg $ func_arg $ threshold_arg $ target_arg
-           $ emit_arg $ profiled_arg $ format_arg $ jobs_arg $ batch_arg
-           $ no_batch_arg $ samples_arg $ dist_arg $ seed_arg $ obs_term
-           $ rest_args))
+      const
+        (fun func threshold target emit profiled jobs batch no_batch samples
+             dist seed args ->
+          { Api.default with func; threshold = Some threshold; target; emit;
+            profiled; jobs; batch; no_batch; samples; dist; seed; args })
+      $ func_arg $ threshold_arg $ target_arg $ emit_arg $ profiled_arg
+      $ jobs_arg $ batch_arg $ no_batch_arg $ samples_arg $ dist_arg
+      $ seed_arg $ rest_args)
 
 let search_cmd =
-  let run file func threshold target strategy prune_margin format jobs batch
-      no_batch samples dist seed target_quantile range obs raw =
-    wrap (fun () ->
-        with_obs ~cmd:"search" obs @@ fun () ->
-        let prog, cores = load_any ~format file in
-        let f = func_exn prog func in
-        let args = resolve_args cores func f raw in
-        let target = target_of target in
-        (* Ground-truth column: shadow-execute the chosen configuration
-           against the double-double reference (search validates in
-           Source mode, so measure there too). *)
-        let measure config =
-          Cheffp_shadow.Shadow.measured_error
-            (Cheffp_shadow.Shadow.run ~builtins:(builtins ()) ~config
-               ~mode:Config.Source ~prog ~func (Interp.copy_args args))
-        in
-        let sampling =
-          if samples > 0 then begin
-            let plan = sampling_plan ~dist cores func f args in
-            Some
-              {
-                Cheffp_core.Search.inputs =
-                  Cheffp_core.Sampling.draw_many plan
-                    ~seed:(Int64.of_int seed) samples;
-                quantile = target_quantile;
-              }
-          end
-          else None
-        in
-        (* Rigorous pruning (--range): certified bounds let the search
-           accept candidates without executing them. Single-point
-           tuning certifies over the degenerate point box (tightest);
-           sampled tuning over the plan's support box — unless a draw
-           has unbounded support (Normal), where no finite box exists
-           and pruning stays off. *)
-        let prune_bound =
-          if not range then None
-          else
-            let box =
-              match sampling with
-              | None -> Some (Rbox.point_of_args ~func:f ~args ())
-              | Some _ -> box_of_plan (sampling_plan ~dist cores func f args)
-            in
-            match box with
-            | None -> None
-            | Some box ->
-                let a =
-                  Trace.with_span "range.analyze" (fun () ->
-                      Range.analyze ~builtins:(builtins ()) ~prog ~func ~box
-                        ())
-                in
-                Some (Range.pruner a ~target)
-        in
-        let o =
-          located ~prog ~func args (fun () ->
-              Cheffp_core.Search.tune ~target ~builtins:(builtins ()) ~jobs
-                ~strategy:(strategy_of strategy) ~prune_margin ?prune_bound
-                ?batch:(batch_of ~batch ~no_batch) ?sampling ~measure ~prog
-                ~func ~args ~threshold ())
-        in
-        print_string (Cheffp_core.Report.search o))
-  in
-  Cmd.v
-    (Cmd.info "search" ~exits
-       ~doc:"Precimonious-style search-based tuning baseline (compare with tune).")
+  shared "search" Api.search
+    ~doc:"Precimonious-style search-based tuning baseline (compare with tune)."
     Term.(
-      ret (const run $ file_arg $ func_arg $ threshold_arg $ target_arg
-           $ strategy_arg $ prune_margin_arg $ format_arg $ jobs_arg
-           $ batch_arg $ no_batch_arg $ samples_arg $ dist_arg $ seed_arg
-           $ target_quantile_arg $ range_arg $ obs_term $ rest_args))
+      const
+        (fun func threshold target strategy prune_margin jobs batch no_batch
+             samples dist seed target_quantile range args ->
+          { Api.default with func; threshold = Some threshold; target;
+            strategy; prune_margin; jobs; batch; no_batch; samples; dist;
+            seed; target_quantile; range; args })
+      $ func_arg $ threshold_arg $ target_arg $ strategy_arg
+      $ prune_margin_arg $ jobs_arg $ batch_arg $ no_batch_arg $ samples_arg
+      $ dist_arg $ seed_arg $ target_quantile_arg $ range_arg $ rest_args)
 
 let validate_cmd =
-  let run file func demote mode margin fuel format obs raw =
-    wrap (fun () ->
-        with_obs ~cmd:"validate" obs @@ fun () ->
-        let prog, cores = load_any ~format file in
-        let f = func_exn prog func in
-        let args = resolve_args cores func f raw in
-        (* with no --demote, an FPCore kernel's own :cheffp-config
-           (written by `cheffp export --demote`) is what gets checked *)
-        let config =
-          match (demote, cores) with
-          | [], Some cs -> (
-              match Fpcore_import.find cs func with
-              | Some c -> c.Fpcore_import.config
-              | None -> Config.double)
-          | _ -> parse_config demote
-        in
-        let mode =
-          match mode with
-          | "extended" -> Config.Extended
-          | "source" -> Config.Source
-          | other -> usage ("unknown mode " ^ other ^ " (extended|source)")
-        in
-        let v =
-          Cheffp_shadow.Oracle.check_estimate ~builtins:(builtins ()) ~mode
-            ~margin ~fuel ~prog ~func ~config args
-        in
-        print_string (Cheffp_shadow.Oracle.render v);
-        if not v.Cheffp_shadow.Oracle.sound then
-          raise @@ Unsound
-            (Printf.sprintf
-               "validate: UNSOUND — measured error %.6e exceeds the modelled \
-                bound %.6e"
-               v.Cheffp_shadow.Oracle.measured_error
-               v.Cheffp_shadow.Oracle.bound))
-  in
   let mode_arg =
     Arg.(
-      value & opt string "extended"
+      value & opt string Api.default.mode
       & info [ "mode" ] ~docv:"MODE"
           ~doc:
             "Rounding mode of the validated execution: extended (default; \
@@ -759,26 +442,29 @@ let validate_cmd =
   in
   let margin_arg =
     Arg.(
-      value & opt float 1.0
+      value & opt float Api.default.margin
       & info [ "margin" ] ~docv:"M"
           ~doc:"Safety factor applied to the modelled error in the bound.")
   in
-  let fuel_arg =
-    Arg.(
-      value & opt int (-1)
-      & info [ "fuel" ] ~docv:"N"
-          ~doc:"Abort after N executed statements (guard against runaway loops).")
+  let check result =
+    if Json.member "sound" result = Json.Bool false then
+      let num k = Option.get (Json.to_float_opt (Json.member k result)) in
+      raise @@ Unsound
+        (Printf.sprintf
+           "validate: UNSOUND — measured error %.6e exceeds the modelled \
+            bound %.6e"
+           (num "measured_error") (num "bound"))
   in
-  Cmd.v
-    (Cmd.info "validate" ~exits
-       ~doc:
-         "Check the CHEF-FP estimate against double-double shadow execution: \
-          measure the true error of a (possibly demoted) run and report \
-          whether the modelled bound covers it, and how tightly. Exits \
-          non-zero on an unsound verdict.")
+  shared "validate" Api.validate ~check
+    ~doc:
+      "Check the CHEF-FP estimate against double-double shadow execution: \
+       measure the true error of a (possibly demoted) run and report \
+       whether the modelled bound covers it, and how tightly. Exits \
+       non-zero on an unsound verdict."
     Term.(
-      ret (const run $ file_arg $ func_arg $ demote_arg $ mode_arg $ margin_arg
-           $ fuel_arg $ format_arg $ obs_term $ rest_args))
+      const (fun func demote mode margin fuel args ->
+          { Api.default with func; demote; mode; margin; fuel; args })
+      $ func_arg $ demote_arg $ mode_arg $ margin_arg $ fuel_arg $ rest_args)
 
 let write_output out text =
   match out with
@@ -800,6 +486,7 @@ let import_cmd =
   let run files out samples dist seed =
     wrap (fun () ->
         if files = [] then usage "no input files";
+        let dists = (Api.decode { Api.default with dist }).dists in
         let buf = Buffer.create 4096 in
         Buffer.add_string buf
           (Printf.sprintf
@@ -848,17 +535,12 @@ let import_cmd =
                   let est =
                     Cheffp_core.Estimate.estimate_error
                       ~model:(Cheffp_core.Model.adapt ())
-                      ~deriv:(deriv ()) ~builtins:(builtins ()) ~prog
+                      ~deriv:session.deriv ~builtins:session.builtins ~prog
                       ~func:c.Fpcore_import.name ()
                   in
                   let midpoint =
                     (Cheffp_core.Estimate.run est c.default_args)
                       .Cheffp_core.Estimate.total_error
-                  in
-                  let dists =
-                    match dist with
-                    | Some s -> Cheffp_core.Sampling.dists_of_string s
-                    | None -> []
                   in
                   let plan =
                     Cheffp_core.Sampling.plan ~dists ~ranges:c.ranges
@@ -913,7 +595,7 @@ let import_cmd =
               cores)
           files;
         (* the translation must itself be a valid MiniFP unit *)
-        Typecheck.check_program ~builtins:(builtins ())
+        Typecheck.check_program ~builtins:session.builtins
           { Ast.funcs = List.rev !all };
         write_output out (Buffer.contents buf))
   in
@@ -940,9 +622,10 @@ let import_cmd =
 let export_cmd =
   let run file func demote format out =
     wrap (fun () ->
-        let prog, _ = load_any ~format file in
+        let prog = (load ~format file).prog in
         let config =
-          if demote = [] then None else Some (parse_config demote)
+          if demote = [] then None
+          else Some (Api.decode { Api.default with demote }).config
         in
         let text =
           match func with
@@ -977,7 +660,9 @@ let adapt_cmd =
   let run bench n target budget jobs obs =
     wrap (fun () ->
         with_obs ~cmd:"adapt" obs @@ fun () ->
-        let target = target_of target in
+        let { Api.target; jobs; _ } =
+          Api.decode { Api.default with target; jobs }
+        in
         let analyze run =
           Adapt.analyze ~target ?memory_budget:budget ~jobs run
         in
@@ -1058,22 +743,40 @@ let adapt_cmd =
       ret (const run $ bench_arg $ n_arg $ target_arg $ budget_arg $ jobs_arg
            $ obs_term))
 
+(* Where the daemon listens, and where its clients find it. *)
+let listen_term =
+  let socket_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "socket" ] ~docv:"PATH"
+          ~doc:"The daemon's Unix-domain socket at $(docv) (default cheffp.sock).")
+  in
+  let port_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "port" ] ~docv:"N"
+          ~doc:
+            "The daemon's loopback TCP port $(docv) instead (0 = ephemeral, \
+             for $(b,serve)).")
+  in
+  let listen socket port =
+    match (socket, port) with
+    | Some _, Some _ -> `Error (true, "pass either --socket or --port, not both")
+    | None, Some p -> `Ok (Server.Tcp p)
+    | path, None -> `Ok (Server.Unix_socket (Option.value ~default:"cheffp.sock" path))
+  in
+  Term.(ret (const listen $ socket_arg $ port_arg))
+
 let serve_cmd =
-  let module Server = Cheffp_server.Server in
-  let run socket port workers max_pending metrics no_telemetry window_epochs
+  let run listen workers max_pending metrics no_telemetry window_epochs
       epoch_seconds tail_slowest tail_errors =
     wrap (fun () ->
         if metrics then Metrics.set_enabled true;
         (* Windowed latency quantiles need the timing histograms, so
            telemetry implies the metrics registry. *)
         if not no_telemetry then Metrics.set_enabled true;
-        let listen =
-          match (socket, port) with
-          | Some path, None -> Server.Unix_socket path
-          | None, Some p -> Server.Tcp p
-          | None, None -> Server.Unix_socket "cheffp.sock"
-          | Some _, Some _ -> usage "pass either --socket or --port, not both"
-        in
         let srv =
           Server.create ?workers ~max_pending ~telemetry:(not no_telemetry)
             ~window_epochs ~window_epoch_s:epoch_seconds ~tail_slowest
@@ -1089,20 +792,6 @@ let serve_cmd =
         Server.run srv;
         Printf.eprintf "cheffp serve: drained, bye\n%!";
         if metrics then print_string (Export.metrics_dump ()))
-  in
-  let socket_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:"Listen on a Unix-domain socket at $(docv) (default cheffp.sock).")
-  in
-  let port_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "port" ] ~docv:"N"
-          ~doc:"Listen on loopback TCP port $(docv) instead (0 = ephemeral).")
   in
   let workers_arg =
     Arg.(
@@ -1177,125 +866,25 @@ let serve_cmd =
           one-shot subcommands.")
     Term.(
       ret
-        (const run $ socket_arg $ port_arg $ workers_arg $ max_pending_arg
+        (const run $ listen_term $ workers_arg $ max_pending_arg
        $ metrics_arg $ no_telemetry_arg $ window_epochs_arg
        $ epoch_seconds_arg $ tail_slowest_arg $ tail_errors_arg))
 
 (* `cheffp top`: live terminal dashboard over the server's [stats]
-   endpoint. Pure client: polls, renders, repeats — every number it
-   shows is computed server-side by Obs.Window / Obs.Tail. *)
+   endpoint. Pure client: polls and prints the [stats] report under its
+   own header — the daemon computes every number (Obs.Window /
+   Obs.Tail) and renders the dashboard. *)
 let top_cmd =
   let module Client = Cheffp_server.Client in
-  let module Sjson = Cheffp_server.Json in
-  let run socket port interval count limit raw =
+  let run listen interval count limit raw =
     wrap (fun () ->
-        let connect () =
-          match (socket, port) with
-          | Some path, None -> Client.connect_unix path
-          | None, Some p -> Client.connect_tcp p
-          | None, None -> Client.connect_unix "cheffp.sock"
-          | Some _, Some _ -> usage "pass either --socket or --port, not both"
-        in
-        let target =
-          match (socket, port) with
-          | None, Some p -> Printf.sprintf "127.0.0.1:%d" p
-          | Some path, _ -> path
-          | None, None -> "cheffp.sock"
+        let connect, target =
+          match listen with
+          | Server.Unix_socket path -> ((fun () -> Client.connect_unix path), path)
+          | Server.Tcp p ->
+              ((fun () -> Client.connect_tcp p), Printf.sprintf "127.0.0.1:%d" p)
         in
         let c = Client.retry_connect connect in
-        let num j = Option.value ~default:0. (Sjson.to_float_opt j) in
-        let fmt_ms j =
-          match Sjson.to_float_opt j with
-          | Some ms -> Printf.sprintf "%.2fms" ms
-          | None -> "-"
-        in
-        let mem o k = Sjson.member k o in
-        let render frame r =
-          let b = Buffer.create 1024 in
-          let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-          let reqs = mem r "requests" and lat = mem r "latency" in
-          let qw = mem r "queue_wait" and pool = mem r "pool" in
-          let cache = mem r "cache" and tail = mem r "tail" in
-          line "cheffp top — %s   frame %d   window %.1fs   workers %.0f%s"
-            target frame (num (mem r "window_s")) (num (mem r "workers"))
-            (match Sjson.to_bool_opt (mem r "telemetry") with
-            | Some false -> "   [telemetry OFF]"
-            | _ -> "");
-          line "requests   %6.1f req/s   window %.0f   total %.0f   errors %.0f (window %.0f)   rejected %.0f"
-            (num (mem reqs "rate")) (num (mem reqs "window"))
-            (num (mem reqs "total")) (num (mem reqs "errors_total"))
-            (num (mem reqs "errors_window")) (num (mem reqs "rejected_total"));
-          line "           active %.0f   queue depth %.0f   pool util %3.0f%%   completed %.1f/s   steals %.0f"
-            (num (mem reqs "active")) (num (mem reqs "queue_depth"))
-            (100. *. num (mem pool "utilization"))
-            (num (mem pool "completed_rate")) (num (mem pool "steals_window"));
-          line "latency    p50 %s   p95 %s   p99 %s   mean %s"
-            (fmt_ms (mem lat "p50_ms")) (fmt_ms (mem lat "p95_ms"))
-            (fmt_ms (mem lat "p99_ms")) (fmt_ms (mem lat "mean_ms"));
-          line "queue wait p50 %s   p95 %s   p99 %s"
-            (fmt_ms (mem qw "p50_ms")) (fmt_ms (mem qw "p95_ms"))
-            (fmt_ms (mem qw "p99_ms"));
-          (let search = mem r "search" and range = mem r "range" in
-           line
-             "rigorous   pruned %.0f (window %.0f)   range bounds %.0f \
-              (window %.0f)   splits %.0f"
-             (num (mem search "pruned_total"))
-             (num (mem search "pruned_window"))
-             (num (mem range "bounds_total"))
-             (num (mem range "bounds_window"))
-             (num (mem range "splits_total")));
-          line "cache      hits %.0f   misses %.0f   size %.0f   window hit rate %s"
-            (num (mem cache "hits_total")) (num (mem cache "misses_total"))
-            (num (mem cache "size"))
-            (match Sjson.to_float_opt (mem cache "hit_rate_window") with
-            | Some x -> Printf.sprintf "%.1f%%" (100. *. x)
-            | None -> "-");
-          (match Sjson.to_list (mem cache "shards") with
-          | [] -> ()
-          | shards ->
-              line "  shards   %s"
-                (String.concat " "
-                   (List.map
-                      (fun s ->
-                        Printf.sprintf "%.0f/%.0f" (num (mem s "size"))
-                          (num (mem s "cap")))
-                      shards)));
-          (match Sjson.to_list (mem r "tenants") with
-          | [] -> ()
-          | tenants ->
-              line "tenants    %s"
-                (String.concat "   "
-                   (List.map
-                      (fun t ->
-                        Printf.sprintf "%s %.1f%% (%.0f lookups)"
-                          (Option.value ~default:"?"
-                             (Sjson.to_string_opt (mem t "tenant")))
-                          (100. *. num (mem t "hit_rate"))
-                          (num (mem t "lookups")))
-                      tenants)));
-          (match Sjson.to_list (mem tail "slowest") with
-          | [] -> line "tail       (no retained traces)"
-          | slow ->
-              line "tail       %.0f error trace(s) retained, slowest:"
-                (num (mem tail "errors_retained"));
-              List.iter
-                (fun e ->
-                  line "  %9.2fms  %-8s id=%s%s%s"
-                    (num (mem e "dur_ms"))
-                    (Option.value ~default:"?"
-                       (Sjson.to_string_opt (mem e "cmd")))
-                    (match Sjson.to_int_opt (mem e "request_id") with
-                    | Some i -> string_of_int i
-                    | None -> "?")
-                    (match Sjson.to_string_opt (mem e "tenant") with
-                    | Some t -> "  tenant=" ^ t
-                    | None -> "")
-                    (match Sjson.to_bool_opt (mem e "err") with
-                    | Some true -> "  [error]"
-                    | _ -> ""))
-                slow);
-          Buffer.contents b
-        in
         let id = ref 0 in
         let one frame =
           incr id;
@@ -1305,19 +894,21 @@ let top_cmd =
                  [
                    (* jump the work queue: a dashboard poll should not
                       wait behind a 1000-candidate search *)
-                   ("priority", Sjson.Num 1000.);
-                   ("limit", Sjson.Num (float_of_int limit));
+                   ("priority", Json.Num 1000.);
+                   ("limit", Json.Num (float_of_int limit));
                  ])
           in
-          (match Sjson.to_bool_opt (Sjson.member "ok" resp) with
+          (match Json.to_bool_opt (Json.member "ok" resp) with
           | Some true -> ()
           | _ ->
               failwith
                 (Option.value ~default:"stats request failed"
-                   (Sjson.to_string_opt (Sjson.member "error" resp))));
+                   (Json.to_string_opt (Json.member "error" resp))));
           let body =
-            if raw then Sjson.to_string (Sjson.member "result" resp) ^ "\n"
-            else render frame (Sjson.member "result" resp)
+            if raw then Json.to_string (Json.member "result" resp) ^ "\n"
+            else
+              Printf.sprintf "cheffp top — %s   frame %d   " target frame
+              ^ Option.value ~default:"" (Json.to_string_opt (Json.member "report" resp))
           in
           if count <> 1 && not raw then print_string "\027[2J\027[H";
           print_string body;
@@ -1334,19 +925,6 @@ let top_cmd =
          with End_of_file ->
            prerr_endline "cheffp top: server closed the connection");
         Client.close c)
-  in
-  let socket_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:"Server Unix-domain socket (default cheffp.sock).")
-  in
-  let port_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "port" ] ~docv:"N" ~doc:"Server loopback TCP port instead.")
   in
   let interval_arg =
     Arg.(
@@ -1379,22 +957,22 @@ let top_cmd =
           per-tenant hit rates and the current tail-latency offenders.")
     Term.(
       ret
-        (const run $ socket_arg $ port_arg $ interval_arg $ count_arg
+        (const run $ listen_term $ interval_arg $ count_arg
        $ limit_arg $ raw_arg))
 
 let sensitivity_cmd =
   let run file func loop raw =
     wrap (fun () ->
-        let prog = load file in
-        let f = func_exn prog func in
-        let args = Interp.parse_args f raw in
+        let prog = (load file).prog in
+        let f = Api.func_exn prog func in
+        let args () = Interp.parse_args f raw in
         let track =
           match loop with Some name -> `Loop name | None -> `Outermost
         in
         let est =
           Cheffp_core.Estimate.estimate_error
             ~model:(Cheffp_core.Model.adapt ())
-            ~deriv:(deriv ()) ~builtins:(builtins ())
+            ~deriv:session.deriv ~builtins:session.builtins
             ~options:
               {
                 Cheffp_core.Estimate.default_options with
@@ -1403,7 +981,8 @@ let sensitivity_cmd =
             ~prog ~func ()
         in
         let r =
-          located ~prog ~func args (fun () -> Cheffp_core.Estimate.run est args)
+          Api.located session ~prog ~func args (fun () ->
+              Cheffp_core.Estimate.run est (args ()))
         in
         if r.Cheffp_core.Estimate.per_iteration = [] then
           print_endline "(no per-iteration records: is there a loop?)"

@@ -216,75 +216,3 @@ let tune ?model ?profile ?(target = Fp.F32) ?mode ?builtins ?(margin = 2.0)
     | _ -> evaluate ?builtins ?mode ~jobs ~prog ~func ~args config
   in
   { threshold; demoted; vetoed; estimated_error; contributions; evaluation }
-
-(* Multi-dataset tuning (paper SS V-B: "it is important to analyze the
-   application over a representative set of inputs"): contributions are
-   the worst case over all datasets, the range veto considers every
-   observed value, and the chosen configuration is validated against
-   every dataset. *)
-let tune_multi ?model ?(target = Fp.F32) ?mode ?builtins ?(margin = 2.0)
-    ?(jobs = 1) ~prog ~func ~args_list ~threshold () =
-  Trace.with_span "tuner.tune_multi" @@ fun () ->
-  (match args_list with
-  | [] -> invalid_arg "Tuner.tune_multi: empty dataset list"
-  | _ -> ());
-  let model =
-    match model with Some m -> m | None -> Model.adapt ~target ()
-  in
-  let est =
-    Estimate.estimate_error ~model
-      ~options:{ Estimate.default_options with Estimate.track_ranges = true }
-      ~prog ~func ()
-  in
-  let reports = List.map (fun args -> Estimate.run est args) args_list in
-  let candidates = float_variables (func_exn prog func) in
-  let limit = 0.5 *. Fp.max_finite target in
-  let overflows v =
-    List.exists
-      (fun r ->
-        match List.assoc_opt v r.Estimate.ranges with
-        | Some (lo, hi) -> Float.max (Float.abs lo) (Float.abs hi) > limit
-        | None -> false)
-      reports
-  in
-  let vetoed = List.filter overflows candidates in
-  let candidates = List.filter (fun v -> not (overflows v)) candidates in
-  let contributions =
-    List.map
-      (fun v ->
-        ( v,
-          List.fold_left
-            (fun acc r ->
-              Float.max acc
-                (Option.value ~default:0.
-                   (List.assoc_opt v r.Estimate.per_variable)))
-            0. reports ))
-      candidates
-    |> List.sort (fun (_, a) (_, b) -> compare a b)
-  in
-  let budget = threshold /. margin in
-  let demoted, estimated_error =
-    List.fold_left
-      (fun (chosen, acc) (v, e) ->
-        if acc +. e <= budget then (v :: chosen, acc +. e)
-        else (chosen, acc))
-      ([], 0.) contributions
-  in
-  let demoted = List.rev demoted in
-  let config = Config.demote_all Config.double demoted target in
-  let evaluations =
-    (* Datasets fan out across domains; each evaluation stays sequential
-       inside so one tuning run never nests domain pools. *)
-    Cheffp_util.Pool.parallel_map ~jobs
-      (fun args -> evaluate ?builtins ?mode ~prog ~func ~args config)
-      args_list
-  in
-  let worst =
-    List.fold_left
-      (fun acc ev ->
-        if ev.actual_error > acc.actual_error then ev else acc)
-      (List.hd evaluations) evaluations
-  in
-  ( { threshold; demoted; vetoed; estimated_error; contributions;
-      evaluation = worst },
-    evaluations )

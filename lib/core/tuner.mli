@@ -114,26 +114,3 @@ val tune :
 val float_variables : Ast.func -> string list
 (** The demotion candidates of a function: float parameters, float
     locals, and float arrays, in declaration order. *)
-
-val tune_multi :
-  ?model:Model.t ->
-  ?target:Fp.format ->
-  ?mode:Config.rounding_mode ->
-  ?builtins:Builtins.t ->
-  ?margin:float ->
-  ?jobs:int ->
-  prog:Ast.program ->
-  func:string ->
-  args_list:Interp.arg list list ->
-  threshold:float ->
-  unit ->
-  outcome * evaluation list
-(** Tune over a representative set of inputs (the paper's §V-B caveat
-    that single-dataset configurations are input-dependent): a
-    variable's contribution is its worst case across the datasets, the
-    overflow veto considers every observed range, and the returned
-    outcome embeds the worst-case validation (all per-dataset
-    evaluations are also returned); with [jobs > 1] the datasets are
-    validated on separate domains (each evaluation sequential inside),
-    with bit-identical results. @raise Invalid_argument on an empty
-    dataset list. *)

@@ -1,7 +1,4 @@
-module Batch = Cheffp_ir.Batch
 module Export = Cheffp_obs.Export
-module Trace = Cheffp_obs.Trace
-module Compile_cache = Cheffp_ir.Compile_cache
 
 type cmd =
   | Ping
@@ -43,59 +40,34 @@ let cmd_of_string = function
   | "shutdown" -> Some Shutdown
   | _ -> None
 
-(* Request fields mirror the CLI flags one-to-one (same names, same
-   defaults, same string syntax for arguments and demotions), so a
-   request is exactly "a CLI invocation as an object" — the handlers
-   run the same code paths and the bit-identity harness compares the
-   two directly. *)
+(* The envelope of one request: its routing and scheduling fields, and
+   the command itself as an [Api.request]. A command field has the
+   name, default and string syntax of its CLI flag, and the same
+   handler runs it ([Api]), so a request is a CLI invocation as an
+   object. *)
 type request = {
   id : int;
   cmd : cmd;
-  program : string;
-  func : string;
-  args : string list;  (* positional, arrays as v1:v2:... *)
-  threshold : float option;
-  target : string;
-  model : string;
-  demote : string list;  (* var:fmt *)
-  mode : string;
-  margin : float;
-  strategy : string;
-  prune_margin : float;
-  profiled : bool;
-  jobs : int;
-  batch : int;
-  no_batch : bool;
   tenant : string option;
   priority : int;
   deadline_ms : float option;
   trace : bool;
   format : string;  (* metrics exposition: "dump" (default) | "prometheus" *)
   limit : int;  (* traces: max slowest trees returned; 0 = all retained *)
-  samples : int;  (* sample/search: Monte-Carlo input count; 0 = off *)
-  dist : string option;  (* per-variable distribution spec, CLI --dist *)
-  target_quantile : float;  (* search: quantile the threshold applies to *)
-  seed : int;  (* sampling seed *)
-  box : string option;  (* range: box override spec, CLI --box *)
-  range_backend : string;  (* range: "bb" (default) | "whole" *)
+  api : Api.request;
 }
-
-(* [jobs] reaches [Pool.parallel_map] inside a shared worker, which
-   spawns [jobs - 1] domains per call; past the cores the host has,
-   more only fail to spawn or contend. The core count is a system call,
-   so the default of 1 skips it. *)
-let clamp_jobs j =
-  if j <= 1 then 1 else min j (Domain.recommended_domain_count ())
 
 let parse_request line =
   match Json.of_string line with
   | exception Json.Parse_error m -> Error ("bad JSON: " ^ m)
   | j -> (
-      let str k d = Option.value ~default:d (Json.to_string_opt (Json.member k j)) in
-      let int k d = Option.value ~default:d (Json.to_int_opt (Json.member k j)) in
-      let flt k d = Option.value ~default:d (Json.to_float_opt (Json.member k j)) in
-      let flag k d = Option.value ~default:d (Json.to_bool_opt (Json.member k j)) in
-      match Json.to_int_opt (Json.member "id" j) with
+      let field k = Json.member k j in
+      let str k d = Option.value ~default:d (Json.to_string_opt (field k)) in
+      let int k d = Option.value ~default:d (Json.to_int_opt (field k)) in
+      let flt k d = Option.value ~default:d (Json.to_float_opt (field k)) in
+      let flag k d = Option.value ~default:d (Json.to_bool_opt (field k)) in
+      let d = Api.default in
+      match Json.to_int_opt (field "id") with
       | None -> Error "missing request id"
       | Some id -> (
           match cmd_of_string (str "cmd" "") with
@@ -105,33 +77,37 @@ let parse_request line =
                 {
                   id;
                   cmd;
-                  program = str "program" "";
-                  func = str "func" "";
-                  args = Json.string_list (Json.member "args" j);
-                  threshold = Json.to_float_opt (Json.member "threshold" j);
-                  target = str "target" "f32";
-                  model = str "model" "adapt";
-                  demote = Json.string_list (Json.member "demote" j);
-                  mode = str "mode" "extended";
-                  margin = flt "margin" 1.0;
-                  strategy = str "strategy" "hybrid";
-                  prune_margin = flt "prune_margin" 64.;
-                  profiled = flag "profiled" false;
-                  jobs = clamp_jobs (int "jobs" 1);
-                  batch = int "batch" Batch.default_lanes;
-                  no_batch = flag "no_batch" false;
-                  tenant = Json.to_string_opt (Json.member "tenant" j);
+                  tenant = Json.to_string_opt (field "tenant");
                   priority = int "priority" 0;
-                  deadline_ms = Json.to_float_opt (Json.member "deadline_ms" j);
+                  deadline_ms = Json.to_float_opt (field "deadline_ms");
                   trace = flag "trace" false;
                   format = str "format" "dump";
                   limit = int "limit" 0;
-                  samples = int "samples" 0;
-                  dist = Json.to_string_opt (Json.member "dist" j);
-                  target_quantile = flt "target_quantile" 0.99;
-                  seed = int "seed" 42;
-                  box = Json.to_string_opt (Json.member "box" j);
-                  range_backend = str "range_backend" "bb";
+                  api =
+                    {
+                      d with
+                      program = str "program" d.program;
+                      func = str "func" d.func;
+                      args = Json.string_list (field "args");
+                      threshold = Json.to_float_opt (field "threshold");
+                      target = str "target" d.target;
+                      model = str "model" d.model;
+                      demote = Json.string_list (field "demote");
+                      mode = str "mode" d.mode;
+                      margin = flt "margin" d.margin;
+                      strategy = str "strategy" d.strategy;
+                      prune_margin = flt "prune_margin" d.prune_margin;
+                      profiled = flag "profiled" d.profiled;
+                      jobs = int "jobs" d.jobs;
+                      batch = int "batch" d.batch;
+                      no_batch = flag "no_batch" d.no_batch;
+                      samples = int "samples" d.samples;
+                      dist = Json.to_string_opt (field "dist");
+                      target_quantile = flt "target_quantile" d.target_quantile;
+                      seed = int "seed" d.seed;
+                      box = Json.to_string_opt (field "box");
+                      range_backend = str "range_backend" d.range_backend;
+                    };
                 }))
 
 (* Responses. [spans] are pre-rendered {!Cheffp_obs.Export} JSON lines

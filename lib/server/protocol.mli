@@ -1,15 +1,16 @@
 (** Wire protocol of [cheffp serve]: newline-delimited JSON objects,
     one request per line in, one response per line out (DESIGN.md §13).
 
-    Request fields mirror the CLI one-to-one — same names, defaults and
-    string syntax ([args] positional with arrays as [v1:v2:...],
-    [demote] as [var:fmt]) — so a request is a CLI invocation as an
-    object and the handlers run the same code paths; results are
-    bit-identical to one-shot runs. Responses echo the request [id]
-    (requests on one connection may complete out of order), carry the
-    structured [result], the CLI's rendered [report] text, queue-wait
-    and service times, and the request's compile-cache hit/miss
-    summary; traced requests additionally carry their span tree. *)
+    A request is an envelope (id, command, scheduling and telemetry
+    fields) around an {!Api.request}, whose fields carry the CLI flags'
+    names, defaults and string syntax ([args] positional with arrays as
+    [v1:v2:...], [demote] as [var:fmt]). The CLI and the daemon run the
+    same {!Api} handler, so results are bit-identical to one-shot runs.
+    Responses echo the request [id] (requests on one connection may
+    complete out of order), carry the structured [result], the CLI's
+    rendered [report] text, queue-wait and service times, and the
+    request's compile-cache hit/miss summary; traced requests
+    additionally carry their span tree. *)
 
 type cmd =
   | Ping
@@ -34,23 +35,6 @@ val cmd_of_string : string -> cmd option
 type request = {
   id : int;  (** client-chosen, echoed in the response *)
   cmd : cmd;
-  program : string;  (** MiniFP source text *)
-  func : string;
-  args : string list;
-  threshold : float option;  (** required by tune/search *)
-  target : string;  (** demotion target format, default "f32" *)
-  model : string;  (** analyze error model, default "adapt" *)
-  demote : string list;  (** validate: var:fmt overrides *)
-  mode : string;  (** validate rounding mode, default "extended" *)
-  margin : float;  (** validate bound safety factor, default 1.0 *)
-  strategy : string;  (** search strategy, default "hybrid" *)
-  prune_margin : float;  (** search hybrid margin, default 64. *)
-  profiled : bool;  (** tune from a cached error-atom profile *)
-  jobs : int;
-      (** inner evaluation parallelism, default 1, clamped to
-          [1 .. Domain.recommended_domain_count ()] *)
-  batch : int;  (** lane width, default {!Cheffp_ir.Batch.default_lanes} *)
-  no_batch : bool;
   tenant : string option;  (** cache attribution label *)
   priority : int;  (** admission priority, higher first, default 0 *)
   deadline_ms : float option;  (** relative deadline, orders equal priorities *)
@@ -61,27 +45,15 @@ type request = {
   limit : int;
       (** traces: return at most this many slowest trees (0 = all
           retained) *)
-  samples : int;
-      (** Monte-Carlo input count — required ([>= 1]) by [sample],
-          optional quantile-targeting switch for [search] (0 = off,
-          the default) *)
-  dist : string option;
-      (** per-variable distribution spec, the CLI's [--dist] syntax *)
-  target_quantile : float;
-      (** search with [samples]: the error quantile the threshold
-          applies to (default 0.99) *)
-  seed : int;  (** deterministic sampling seed (default 42) *)
-  box : string option;
-      (** range: box override, the CLI's [--box] syntax
-          ([var=lo:hi,...]) *)
-  range_backend : string;
-      (** range: global-bound backend, "bb" (branch-and-bound, the
-          default) or "whole" (single interval pass) *)
+  api : Api.request;
+      (** the command's fields, by their {!Api.request} names; [program]
+          is MiniFP source text *)
 }
 
 val parse_request : string -> (request, string) result
 (** Decode one request line. Unknown fields are ignored; missing
-    optional fields take the CLI defaults listed above. *)
+    optional fields take {!Api.default}'s values. Option values are
+    decoded by the command's handler ({!Api.decode}). *)
 
 type cache_summary = { c_hits : int; c_misses : int }
 

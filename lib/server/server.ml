@@ -1,35 +1,19 @@
 (* The [cheffp serve] daemon (DESIGN.md §13): newline-delimited JSON
    over a Unix or loopback TCP socket, one systhread per connection for
    I/O, every request executed as a task on one shared
-   {!Cheffp_util.Pool.Shared} domain pool. Handlers run the same code
-   paths as the CLI subcommands on a single long-lived builtins/deriv
-   registry pair, so results are bit-identical to one-shot runs and
-   compilations cached by one request are hits for every later one.
-   The daemon also caches its own work in the compile cache: the parsed
+   {!Cheffp_util.Pool.Shared} domain pool. The analysis commands run the
+   CLI's own handlers ([Api]) on a single long-lived session, so results
+   are bit-identical to one-shot runs and compilations cached by one
+   request are hits for every later one. [Api] also caches the parsed
    program of each request text and the analysis of each [analyze]. *)
 
-open Cheffp_ir
-module Config = Cheffp_precision.Config
-module Fp = Cheffp_precision.Fp
 module Pool = Cheffp_util.Pool
 module Trace = Cheffp_obs.Trace
 module Metrics = Cheffp_obs.Metrics
 module Export = Cheffp_obs.Export
 module Window = Cheffp_obs.Window
 module Tail = Cheffp_obs.Tail
-module Estimate = Cheffp_core.Estimate
-module Model = Cheffp_core.Model
-module Report = Cheffp_core.Report
-module Tuner = Cheffp_core.Tuner
-module Search = Cheffp_core.Search
-module Profile = Cheffp_core.Profile
-module Sampling = Cheffp_core.Sampling
-module Quantile = Cheffp_core.Quantile
-module Shadow = Cheffp_shadow.Shadow
-module Oracle = Cheffp_shadow.Oracle
-module Range = Cheffp_range.Range
-module Rbox = Cheffp_range.Box
-module Rinterval = Cheffp_range.Interval
+module Compile_cache = Cheffp_ir.Compile_cache
 
 type listen = Unix_socket of string | Tcp of int
 
@@ -38,8 +22,7 @@ type t = {
   fd : Unix.file_descr;
   listen : listen;
   port : int option;  (* resolved, for Tcp 0 *)
-  builtins : Builtins.t;
-  deriv : Cheffp_ad.Deriv.t;
+  api : Api.session;
   max_pending : int;
   telemetry : bool;
   stop_requested : bool Atomic.t;
@@ -47,360 +30,6 @@ type t = {
   conns_cv : Condition.t;
   mutable conns : int;
 }
-
-(* ------------------------------------------------------------------ *)
-(* CLI-equivalent helpers. These mirror bin/cheffp.ml exactly — same
-   parsing, same defaults — which is what makes a server response
-   bit-identical to the corresponding one-shot invocation. Positional
-   arguments go through the parser both share, [Interp.parse_args]. *)
-
-let target_of s =
-  match Fp.format_of_string s with
-  | Some f -> f
-  | None -> failwith ("unknown format " ^ s)
-
-let model_of_string target = function
-  | "taylor" -> Model.taylor ~target ()
-  | "adapt" -> Model.adapt ~target ()
-  | "zero" -> Model.zero
-  | other -> failwith ("unknown model " ^ other ^ " (taylor|adapt|zero)")
-
-let parse_config demote =
-  List.fold_left
-    (fun cfg spec ->
-      match String.split_on_char ':' spec with
-      | [ var; fmt ] -> (
-          match Fp.format_of_string fmt with
-          | Some f -> Config.demote cfg var f
-          | None -> failwith ("unknown format " ^ fmt))
-      | _ -> failwith ("bad demotion spec " ^ spec ^ " (expected var:fmt)"))
-    Config.double demote
-
-let batch_of (req : Protocol.request) =
-  if req.no_batch || req.batch < 2 then None else Some req.batch
-
-let strategy_of s =
-  match Search.strategy_of_string s with
-  | Some st -> st
-  | None -> failwith ("unknown strategy " ^ s ^ " (measured|modelled|hybrid)")
-
-let require_threshold (req : Protocol.request) =
-  match req.threshold with
-  | Some t -> t
-  | None ->
-      failwith (Protocol.cmd_name req.cmd ^ ": missing \"threshold\" field")
-
-(* The daemon's own entries in the compile cache, scoped to its
-   registry like every other entry: the parsed, typechecked program of
-   a request text, and an [analyze] request's analysis. *)
-type Compile_cache.artifact +=
-  | Program of Ast.program
-  | Analysis of Estimate.t
-
-(* A request text is parsed and typechecked once per daemon: the
-   program is cached under the MD5 of the text, and every request on
-   the same text shares it (programs are immutable once parsed). A
-   parse or type error raises out of [build], so it is never cached.
-   Returns the text's digest too, for keys derived from it. Args are
-   parsed fresh per request — [Interp.Afarr] buffers are mutated in
-   place by runs, so they must never be shared. *)
-let load_text t src =
-  if String.trim src = "" then failwith "missing \"program\" field";
-  let digest = Digest.to_hex (Digest.string src) in
-  let prog =
-    Compile_cache.lookup_or ~key:("program|" ^ digest) ~label:"program"
-      ~builtins:(Some t.builtins)
-      ~select:(function Program p -> Some p | _ -> None)
-      ~inject:(fun p -> Program p)
-      ~build:(fun () ->
-        let prog =
-          Trace.with_span "parse" (fun () -> Parser.parse_program src)
-        in
-        Trace.with_span "typecheck" (fun () ->
-            Typecheck.check_program ~builtins:t.builtins prog);
-        prog)
-  in
-  (digest, prog)
-
-let load t src = snd (load_text t src)
-
-(* ------------------------------------------------------------------ *)
-(* Handlers: each returns (structured result, rendered report). *)
-
-let pairs l =
-  Json.List
-    (List.map
-       (fun (n, e) -> Json.Obj [ ("var", Json.Str n); ("error", Json.Num e) ])
-       l)
-
-let strings l = Json.List (List.map (fun s -> Json.Str s) l)
-
-(* The analysis (AD, error injection, optimisation, typecheck and
-   compile) is built once per (text, func, model, target): the handler
-   fixes the options, the registry and the derivative table, so that
-   key is complete. Keying on the text digest keeps pretty-printing out
-   of the miss path. [Estimate.run] records into a sink of its own, so
-   concurrent requests share one analysis. *)
-let handle_analyze t (req : Protocol.request) =
-  let digest, prog = load_text t req.program in
-  let f = Ast.func_exn prog req.func in
-  let target = target_of req.target in
-  let model = model_of_string target req.model in
-  let est =
-    Compile_cache.lookup_or
-      ~key:
-        (Printf.sprintf "analysis|%s|%s|%s|%s" digest req.func
-           model.Model.model_name (Fp.format_to_string target))
-      ~label:req.func ~builtins:(Some t.builtins)
-      ~select:(function Analysis e -> Some e | _ -> None)
-      ~inject:(fun e -> Analysis e)
-      ~build:(fun () ->
-        Estimate.estimate_error ~model ~deriv:t.deriv ~builtins:t.builtins
-          ~options:{ Estimate.default_options with track_ranges = true }
-          ~prog ~func:req.func ())
-  in
-  let args = Interp.parse_args f req.args in
-  let r = Estimate.run est args in
-  ( Json.Obj
-      [
-        ("model", Json.Str model.Model.model_name);
-        ("total_error", Json.Num r.Estimate.total_error);
-        ("per_variable", pairs r.Estimate.per_variable);
-        ("gradients", pairs r.Estimate.gradients);
-      ],
-    Printf.sprintf "model: %s\n" model.Model.model_name
-    ^ Report.estimate r )
-
-let handle_tune t (req : Protocol.request) =
-  let threshold = require_threshold req in
-  let prog = load t req.program in
-  let f = Ast.func_exn prog req.func in
-  let args = Interp.parse_args f req.args in
-  let target = target_of req.target in
-  let profile =
-    if req.profiled then
-      Some (Profile.build_cached ~builtins:t.builtins ~prog ~func:req.func ~args ())
-    else None
-  in
-  let o =
-    Tuner.tune ?profile ~target ~builtins:t.builtins ~jobs:req.jobs
-      ?batch:(batch_of req) ~prog ~func:req.func ~args ~threshold ()
-  in
-  ( Json.Obj
-      [
-        ("demoted", strings o.Tuner.demoted);
-        ("vetoed", strings o.Tuner.vetoed);
-        ("estimated_error", Json.Num o.Tuner.estimated_error);
-        ("actual_error", Json.Num o.Tuner.evaluation.Tuner.actual_error);
-        ("modelled_speedup", Json.Num o.Tuner.evaluation.Tuner.modelled_speedup);
-        ("casts", Json.Num (float_of_int o.Tuner.evaluation.Tuner.casts));
-        ("config", Json.Str (Config.to_string o.Tuner.evaluation.Tuner.config));
-      ],
-    Report.tuning o )
-
-(* The request's sampling plan: explicit [dist] entries win, the rest
-   of the float parameters take the default box around the base args
-   (server programs are MiniFP source, so there is no [:pre] range to
-   fall back on). *)
-let sampling_plan (req : Protocol.request) f args =
-  let dists =
-    match req.dist with
-    | Some s -> Sampling.dists_of_string s
-    | None -> []
-  in
-  Sampling.plan ~dists ~func:f ~args ()
-
-(* Per-request sample attribution: the response carries its own sample
-   count, and tenants accumulate a [server.tenant.<t>.samples] counter
-   next to their compile-cache hit rates. *)
-let attribute_samples (req : Protocol.request) n =
-  if Trace.enabled () then Trace.add_attr "samples" (Trace.Int n);
-  Option.iter
-    (fun tenant ->
-      Metrics.add
-        (Metrics.counter
-           (Printf.sprintf "server.tenant.%s.samples" tenant))
-        n)
-    req.tenant
-
-let handle_sample t (req : Protocol.request) =
-  if req.samples < 1 then failwith "sample: \"samples\" must be >= 1";
-  let prog = load t req.program in
-  let f = Ast.func_exn prog req.func in
-  let args = Interp.parse_args f req.args in
-  let config = parse_config req.demote in
-  let plan = sampling_plan req f args in
-  let inputs =
-    Sampling.draw_many plan ~seed:(Int64.of_int req.seed) req.samples
-  in
-  attribute_samples req req.samples;
-  let lanes = batch_of req in
-  let summary, _ =
-    Sampling.measured_summary ~jobs:req.jobs ?lanes ~builtins:t.builtins
-      ~prog ~func:req.func ~config inputs
-  in
-  let described = Sampling.describe plan in
-  ( Json.Obj
-      [
-        ("func", Json.Str req.func);
-        ("config", Json.Str (Config.to_string config));
-        ("samples", Json.Num (float_of_int summary.Quantile.count));
-        ("seed", Json.Num (float_of_int req.seed));
-        ( "plan",
-          Json.List
-            (List.map
-               (fun (v, d) ->
-                 Json.Obj [ ("var", Json.Str v); ("dist", Json.Str d) ])
-               described) );
-        ("p50", Json.Num summary.Quantile.p50);
-        ("p95", Json.Num summary.Quantile.p95);
-        ("p99", Json.Num summary.Quantile.p99);
-        ("max", Json.Num summary.Quantile.max);
-        ("mean", Json.Num summary.Quantile.mean);
-      ],
-    Report.sampled ~plan:described summary )
-
-let handle_search t (req : Protocol.request) =
-  let threshold = require_threshold req in
-  let prog = load t req.program in
-  let f = Ast.func_exn prog req.func in
-  let args = Interp.parse_args f req.args in
-  let target = target_of req.target in
-  let measure config =
-    Shadow.measured_error
-      (Shadow.run ~builtins:t.builtins ~config ~mode:Config.Source ~prog
-         ~func:req.func (Interp.copy_args args))
-  in
-  let sampling =
-    if req.samples > 0 then begin
-      let plan = sampling_plan req f args in
-      attribute_samples req req.samples;
-      Some
-        {
-          Search.inputs =
-            Sampling.draw_many plan ~seed:(Int64.of_int req.seed) req.samples;
-          quantile = req.target_quantile;
-        }
-    end
-    else None
-  in
-  let o =
-    Search.tune ~target ~builtins:t.builtins ~jobs:req.jobs
-      ~strategy:(strategy_of req.strategy) ~prune_margin:req.prune_margin
-      ?batch:(batch_of req) ?sampling ~measure ~prog ~func:req.func ~args
-      ~threshold ()
-  in
-  ( Json.Obj
-      [
-        ("demoted", strings o.Search.demoted);
-        ("executions", Json.Num (float_of_int o.Search.executions));
-        ("batched_runs", Json.Num (float_of_int o.Search.batched_runs));
-        ("runs_avoided", Json.Num (float_of_int o.Search.runs_avoided));
-        ("samples", Json.Num (float_of_int o.Search.samples));
-        ("strategy", Json.Str (Search.strategy_name o.Search.strategy));
-        ("modelled_error", Json.Num o.Search.modelled_error);
-        ( "measured_error",
-          match o.Search.measured_error with
-          | Some e -> Json.Num e
-          | None -> Json.Null );
-        ("actual_error", Json.Num o.Search.evaluation.Tuner.actual_error);
-        ("modelled_speedup", Json.Num o.Search.evaluation.Tuner.modelled_speedup);
-        ("config", Json.Str (Config.to_string o.Search.evaluation.Tuner.config));
-      ],
-    Report.search o )
-
-let handle_validate t (req : Protocol.request) =
-  let prog = load t req.program in
-  let f = Ast.func_exn prog req.func in
-  let args = Interp.parse_args f req.args in
-  let config = parse_config req.demote in
-  let mode =
-    match req.mode with
-    | "extended" -> Config.Extended
-    | "source" -> Config.Source
-    | other -> failwith ("unknown mode " ^ other ^ " (extended|source)")
-  in
-  let v =
-    Oracle.check_estimate ~builtins:t.builtins ~mode ~margin:req.margin
-      ~fuel:(-1) ~prog ~func:req.func ~config args
-  in
-  ( Json.Obj
-      [
-        ("sound", Json.Bool v.Oracle.sound);
-        ("measured_error", Json.Num v.Oracle.measured_error);
-        ("modelled_error", Json.Num v.Oracle.modelled_error);
-        ("bound", Json.Num v.Oracle.bound);
-        ("demotion_error", Json.Num v.Oracle.demotion_error);
-        ("inherent_error", Json.Num v.Oracle.inherent_error);
-        ( "tightness",
-          match v.Oracle.tightness with
-          | Some x -> Json.Num x
-          | None -> Json.Null );
-      ],
-    Oracle.render v )
-
-(* Rigorous range bounds (DESIGN.md §17). Server programs are MiniFP
-   source, so the analysis box is the default box around the base args
-   with the request's [box] override on top — exactly the CLI's
-   [analyze --range --box SPEC] path. [range.bound] counts certified
-   analyses, [range.split] the branch-and-bound boxes they cost. *)
-
-let range_bound_c = Metrics.counter "range.bound"
-let range_split_c = Metrics.counter "range.split"
-
-let handle_range t (req : Protocol.request) =
-  let prog = load t req.program in
-  let f = Ast.func_exn prog req.func in
-  let args = Interp.parse_args f req.args in
-  let target = target_of req.target in
-  let box = Rbox.of_args ~func:f ~args () in
-  let box =
-    match req.box with
-    | Some spec -> Rbox.apply_override box (Rbox.override_of_string spec)
-    | None -> box
-  in
-  let a =
-    Trace.with_span "range.analyze" (fun () ->
-        Range.analyze ~backend:req.range_backend ~builtins:t.builtins ~prog
-          ~func:req.func ~box ())
-  in
-  Metrics.incr range_bound_c;
-  Metrics.add range_split_c a.Range.splits;
-  if Trace.enabled () then begin
-    Trace.add_attr "range.splits" (Trace.Int a.Range.splits);
-    Trace.add_attr "range.evals" (Trace.Int a.Range.evals);
-    Trace.add_attr "range.verdict"
-      (Trace.Str (Range.verdict_to_string a.Range.verdict))
-  end;
-  let vars = Range.charged_vars a in
-  ( Json.Obj
-      [
-        ("func", Json.Str req.func);
-        ("backend", Json.Str a.Range.backend);
-        ("verdict", Json.Str (Range.verdict_to_string a.Range.verdict));
-        ( "bound",
-          if Float.is_finite a.Range.worst_bound then
-            Json.Num a.Range.worst_bound
-          else Json.Null );
-        ( "bound_at_target",
-          match Range.score a ~target vars with
-          | Some b -> Json.Num b
-          | None -> Json.Null );
-        ("target", Json.Str (Fp.format_to_string target));
-        ("charged_vars", strings vars);
-        ( "value",
-          match a.Range.value with
-          | Some iv ->
-              let lo, hi = Rinterval.to_pair iv in
-              Json.List [ Json.Num lo; Json.Num hi ]
-          | None -> Json.Null );
-        ("box", Json.Str (Rbox.to_string a.Range.box));
-        ("witness", Json.Str (Rbox.to_string a.Range.witness));
-        ("splits", Json.Num (float_of_int a.Range.splits));
-        ("evals", Json.Num (float_of_int a.Range.evals));
-        ("elapsed_ms", Json.Num a.Range.elapsed_ms);
-      ],
-    Range.report ~target a )
 
 let request_stop t = Atomic.set t.stop_requested true
 
@@ -445,6 +74,11 @@ let tail_tree (e : Tail.entry) =
                    e.Tail.e_spans) );
           ])
   | j -> j
+
+(* The tail ring's slowest trees, at most [limit] of them (0 = all). *)
+let slowest (req : Protocol.request) =
+  let slow = Tail.slowest () in
+  if req.limit > 0 then List.filteri (fun i _ -> i < req.limit) slow else slow
 
 let handle_stats t (req : Protocol.request) =
   let snap = Metrics.snapshot () in
@@ -512,41 +146,11 @@ let handle_stats t (req : Protocol.request) =
     else 0.
   in
   let cstats = Compile_cache.stats () in
-  let shard_json =
-    Json.List
-      (Array.to_list
-         (Array.map
-            (fun (size, cap) ->
-              Json.Obj
-                [
-                  ("size", Json.Num (float_of_int size));
-                  ("cap", Json.Num (float_of_int cap));
-                ])
-            (Compile_cache.shard_sizes ())))
-  in
-  let tenants =
-    match w with
-    | Some s ->
-        Json.List
-          (List.map
-             (fun (tenant, rate, lookups) ->
-               Json.Obj
-                 [
-                   ("tenant", Json.Str tenant);
-                   ("hit_rate", Json.Num rate);
-                   ("lookups", Json.Num (float_of_int lookups));
-                 ])
-             (Window.tenant_hit_rates s))
-    | None -> Json.List []
-  in
-  let offenders =
-    let slow = Tail.slowest () in
-    let slow =
-      if req.limit > 0 then List.filteri (fun i _ -> i < req.limit) slow
-      else slow
-    in
-    Json.List (List.map tail_summary slow)
-  in
+  let shards = Array.to_list (Compile_cache.shard_sizes ()) in
+  let tenants = match w with Some s -> Window.tenant_hit_rates s | None -> [] in
+  let slow = slowest req in
+  let errors_retained = List.length (Tail.errors ()) in
+  let hit_rate = if wlookups > 0. then Some (whits /. wlookups) else None in
   ( Json.Obj
       [
         ("telemetry", Json.Bool t.telemetry);
@@ -596,30 +200,113 @@ let handle_stats t (req : Protocol.request) =
                 Json.Num (float_of_int cstats.Compile_cache.misses) );
               ("size", Json.Num (float_of_int cstats.Compile_cache.size));
               ( "hit_rate_window",
-                if wlookups > 0. then Json.Num (whits /. wlookups)
-                else Json.Null );
-              ("shards", shard_json);
+                Option.fold ~none:Json.Null ~some:(fun x -> Json.Num x) hit_rate );
+              ( "shards",
+                Json.List
+                  (List.map
+                     (fun (size, cap) ->
+                       Json.Obj
+                         [
+                           ("size", Json.Num (float_of_int size));
+                           ("cap", Json.Num (float_of_int cap));
+                         ])
+                     shards) );
             ] );
-        ("tenants", tenants);
+        ( "tenants",
+          Json.List
+            (List.map
+               (fun (tenant, rate, lookups) ->
+                 Json.Obj
+                   [
+                     ("tenant", Json.Str tenant);
+                     ("hit_rate", Json.Num rate);
+                     ("lookups", Json.Num (float_of_int lookups));
+                   ])
+               tenants) );
         ( "tail",
           Json.Obj
             [
-              ("slowest", offenders);
-              ( "errors_retained",
-                Json.Num (float_of_int (List.length (Tail.errors ()))) );
+              ("slowest", Json.List (List.map tail_summary slow));
+              ("errors_retained", Json.Num (float_of_int errors_retained));
               ("errors_total", Json.Num (float_of_int (Tail.error_count ())));
             ] );
       ],
-    Printf.sprintf
-      "window %.1fs: %.1f req/s, %d in window, utilization %.2f\n" span_s
-      req_rate (int_of_float req_delta) util )
+    (* The dashboard [cheffp top] prints under its own header. *)
+    let b = Buffer.create 1024 in
+    let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+    let fmt_ms v =
+      if Float.is_nan v then "-" else Printf.sprintf "%.2fms" (v *. 1000.)
+    in
+    let quantiles h =
+      match h with
+      | None -> ("-", "-", "-", "-")
+      | Some h ->
+          ( fmt_ms h.Window.wh_p50,
+            fmt_ms h.Window.wh_p95,
+            fmt_ms h.Window.wh_p99,
+            if h.Window.wh_count > 0 then
+              fmt_ms (h.Window.wh_sum /. float_of_int h.Window.wh_count)
+            else "-" )
+    in
+    let p50, p95, p99, mean = quantiles lat in
+    let qw50, qw95, qw99, _ = quantiles (whist "server.queue_wait_seconds") in
+    line "window %.1fs   workers %d%s" span_s workers
+      (if t.telemetry then "" else "   [telemetry OFF]");
+    line
+      "requests   %6.1f req/s   window %.0f   total %.0f   errors %.0f \
+       (window %.0f)   rejected %.0f"
+      req_rate req_delta (cum "server.requests") (cum "server.errors")
+      err_delta (cum "server.rejected");
+    line
+      "           active %.0f   queue depth %.0f   pool util %3.0f%%   \
+       completed %.1f/s   steals %.0f"
+      (cum "server.active") (cum "server.queue_depth") (100. *. util)
+      pool_done_rate steals_delta;
+    line "latency    p50 %s   p95 %s   p99 %s   mean %s" p50 p95 p99 mean;
+    line "queue wait p50 %s   p95 %s   p99 %s" qw50 qw95 qw99;
+    line
+      "rigorous   pruned %.0f (window %.0f)   range bounds %.0f (window \
+       %.0f)   splits %.0f"
+      (cum "search.pruned_total") pruned_delta (cum "range.bound")
+      bounds_delta (cum "range.split");
+    line "cache      hits %d   misses %d   size %d   window hit rate %s"
+      cstats.Compile_cache.hits cstats.Compile_cache.misses
+      cstats.Compile_cache.size
+      (Option.fold ~none:"-"
+         ~some:(fun x -> Printf.sprintf "%.1f%%" (100. *. x))
+         hit_rate);
+    if shards <> [] then
+      line "  shards   %s"
+        (String.concat " "
+           (List.map (fun (size, cap) -> Printf.sprintf "%d/%d" size cap) shards));
+    if tenants <> [] then
+      line "tenants    %s"
+        (String.concat "   "
+           (List.map
+              (fun (tenant, rate, lookups) ->
+                Printf.sprintf "%s %.1f%% (%d lookups)" tenant (100. *. rate)
+                  lookups)
+              tenants));
+    if slow = [] then line "tail       (no retained traces)"
+    else begin
+      line "tail       %d error trace(s) retained, slowest:" errors_retained;
+      List.iter
+        (fun (e : Tail.entry) ->
+          let attr k = List.assoc_opt k e.Tail.e_root.Trace.attrs in
+          line "  %9.2fms  %-8s id=%s%s%s"
+            (Int64.to_float e.Tail.e_dur_ns /. 1e6)
+            (match attr "cmd" with Some (Trace.Str c) -> c | _ -> "?")
+            (match attr "request_id" with
+            | Some (Trace.Int i) -> string_of_int i
+            | _ -> "?")
+            (match attr "tenant" with Some (Trace.Str s) -> "  tenant=" ^ s | _ -> "")
+            (if e.Tail.e_err then "  [error]" else ""))
+        slow
+    end;
+    Buffer.contents b )
 
 let handle_traces (req : Protocol.request) =
-  let slow = Tail.slowest () in
-  let slow =
-    if req.limit > 0 then List.filteri (fun i _ -> i < req.limit) slow
-    else slow
-  in
+  let slow = slowest req in
   let errors = Tail.errors () in
   ( Json.Obj
       [
@@ -630,21 +317,27 @@ let handle_traces (req : Protocol.request) =
     Printf.sprintf "%d slow trace(s), %d error trace(s) retained\n"
       (List.length slow) (List.length errors) )
 
-(* A compiled run's failure names the generated function and gives no
-   index. The request's arguments, parsed afresh from its strings (so
-   pristine), re-run through the interpreter on the source function,
-   whose message is located ([Interp.locate]). [load] and [parse_args]
-   succeeded before any run could fail, and [load] is now a hit. *)
-let located t (req : Protocol.request) handle =
-  try handle t req
-  with Interp.Runtime_error m ->
-    let prog = load t req.program in
-    let args = Interp.parse_args (Ast.func_exn prog req.func) req.args in
-    raise
-      (Interp.Runtime_error
-         (Interp.locate ~builtins:t.builtins ~prog ~func:req.func args m))
-
 let dispatch t (req : Protocol.request) =
+  let command handle =
+    if String.trim req.api.program = "" then failwith "missing \"program\" field";
+    handle t.api req.api
+  in
+  (* Per-request sample attribution: the trace carries the request's
+     sample count, and tenants accumulate a [server.tenant.<t>.samples]
+     counter next to their compile-cache hit rates. *)
+  let sampled handle =
+    let n = req.api.samples in
+    if n > 0 then begin
+      if Trace.enabled () then Trace.add_attr "samples" (Trace.Int n);
+      Option.iter
+        (fun tenant ->
+          Metrics.add
+            (Metrics.counter (Printf.sprintf "server.tenant.%s.samples" tenant))
+            n)
+        req.tenant
+    end;
+    command handle
+  in
   match req.cmd with
   | Protocol.Ping -> (Json.Obj [ ("pong", Json.Bool true) ], "pong\n")
   | Protocol.Metrics ->
@@ -663,28 +356,18 @@ let dispatch t (req : Protocol.request) =
   | Protocol.Shutdown ->
       request_stop t;
       (Json.Obj [ ("stopping", Json.Bool true) ], "stopping\n")
-  | Protocol.Analyze -> located t req handle_analyze
-  | Protocol.Tune -> located t req handle_tune
-  | Protocol.Search -> located t req handle_search
-  | Protocol.Sample -> located t req handle_sample
-  | Protocol.Validate -> handle_validate t req
-  | Protocol.Range -> handle_range t req
+  | Protocol.Analyze -> sampled Api.analyze
+  | Protocol.Tune -> sampled Api.tune
+  | Protocol.Search -> sampled Api.search
+  | Protocol.Sample -> sampled Api.sample
+  | Protocol.Validate -> command Api.validate
+  | Protocol.Range -> command Api.range
 
-(* Same error surface as the CLI's [wrap]. *)
+(* The CLI's error surface: its usage and input errors keep their
+   messages, and anything else is named with its exception. *)
 let error_message = function
-  | Failure m
-  | Parser.Error m
-  | Lexer.Error m
-  | Typecheck.Error m
-  | Interp.Runtime_error m
-  | Estimate.Error m
-  | Sampling.Spec_error m
-  | Rbox.Spec_error m
-  | Cheffp_ad.Reverse.Error m
-  | Invalid_argument m
-  | Sys_error m ->
-      m
-  | e -> Printexc.to_string e
+  | Api.Usage m -> m
+  | e -> Option.value (Api.input_error e) ~default:(Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Request execution (runs on a pool worker domain). The worker's span
@@ -901,10 +584,6 @@ let create ?workers ?(max_pending = default_max_pending) ?(telemetry = true)
     ?(tail_errors = 64) listen =
   (* A client closing mid-response must not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let builtins = Builtins.create () in
-  Cheffp_fastapprox.Fastapprox.register_builtins builtins;
-  let deriv = Cheffp_ad.Deriv.default () in
-  Cheffp_fastapprox.Fastapprox.register_derivatives deriv;
   let fd, port =
     match listen with
     | Unix_socket path ->
@@ -941,8 +620,7 @@ let create ?workers ?(max_pending = default_max_pending) ?(telemetry = true)
     fd;
     listen;
     port;
-    builtins;
-    deriv;
+    api = Api.session ();
     max_pending;
     telemetry;
     stop_requested = Atomic.make false;
@@ -998,7 +676,7 @@ let run t =
   (* Nothing can look up against this registry any more: its entries
      (programs, analyses, and the compilations of every handler) would
      only hold slots of the shared bound until they were evicted. *)
-  Compile_cache.drop_builtins t.builtins;
+  Compile_cache.drop_builtins t.api.builtins;
   if t.telemetry then Window.stop ();
   match t.listen with
   | Unix_socket path -> ( try Sys.remove path with Sys_error _ -> ())

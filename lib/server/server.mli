@@ -8,24 +8,13 @@
     connection has its own work queue and the pool's admission policy
     (priority, deadline, round-robin on ties) schedules across them.
 
-    Handlers run the same code paths as the CLI subcommands, against a
-    single long-lived builtins/derivative registry pair, so
-
-    - results are {e bit-identical} to one-shot [cheffp] runs on the
-      same inputs (the serve-smoke gate asserts this), and
-    - compilations cached by one request ({!Cheffp_ir.Compile_cache},
-      sharded) are hits for every later request on the same program —
-      the warm cross-request hit rate the server bench reports.
-
-    The daemon reuses its own work through the same cache, scoped to
-    its registry: the parsed, typechecked program of a request text
-    (keyed on the text's MD5), and an [analyze] request's analysis
-    (keyed on text digest, func, model and target), so a repeated
-    request parses nothing and builds nothing. Errors are never cached.
-    {!run} drops every entry compiled against the registry once it has
-    drained. A compiled run's failure is reported with the located
-    message of the interpreter re-running the request's arguments on
-    the source function.
+    The analysis commands run the CLI's own handlers ({!Api}) on one
+    {!Api.session} for the daemon's lifetime, so results are
+    {e bit-identical} to one-shot [cheffp] runs (the serve-smoke gate
+    and test_cli assert this), and compilations, programs and analyses
+    cached by one request ({!Cheffp_ir.Compile_cache}, sharded) are
+    hits for every later request on the same text. {!run} drops every
+    entry compiled against the session's registry once it has drained.
 
     Per-request observability: each request runs under a
     ["server.request"] root span whose completed subtree is extracted

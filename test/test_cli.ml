@@ -170,7 +170,31 @@ let test_exit_codes () =
       let code, _ =
         run_cli [ "validate"; path; "--func"; "poly"; "--mode"; "bogus"; "1"; "2" ]
       in
-      Alcotest.(check int) "bad option value" 124 code);
+      Alcotest.(check int) "bad option value" 124 code;
+      (* Option values the library rejects are usage errors too, found
+         before any analysis runs. *)
+      List.iter
+        (fun (what, args, accepted) ->
+          let code, out = run_cli (List.hd args :: path :: List.tl args) in
+          Alcotest.(check int) what 124 code;
+          Alcotest.(check bool) (what ^ " names " ^ accepted ^ ": " ^ out) true
+            (contains out accepted);
+          Alcotest.(check bool) (what ^ ": nothing analysed") false
+            (contains out "estimated FP error"))
+        [
+          ( "range backend",
+            [ "analyze"; "--func"; "poly"; "--range"; "--range-backend"; "foo";
+              "0.5"; "2.0" ],
+            "bb|whole" );
+          ( "prune margin",
+            [ "search"; "--func"; "looped"; "--threshold"; "1e-6";
+              "--prune-margin"; "0.5"; "1.3"; "20" ],
+            ">= 1" );
+          ( "target quantile",
+            [ "search"; "--func"; "looped"; "--threshold"; "1e-6"; "--samples";
+              "8"; "--target-quantile"; "7"; "1.3"; "20" ],
+            "[0, 1]" );
+        ]);
   let code, _ = run_cli [ "check"; "/nonexistent/file.mfp" ] in
   Alcotest.(check int) "missing file" 2 code;
   let hypot =
@@ -329,14 +353,15 @@ let test_compiled_bounds_error () =
 
 (* The daemon's wire format is the other outside entry point. A
    request's [jobs] becomes the domain count of [Pool.parallel_map], so
-   it is clamped where it is decoded; nothing here runs the pool. *)
+   it is clamped where the request is decoded; nothing here runs the
+   pool. *)
 let test_protocol_jobs_clamped () =
   let jobs field =
     match
       Cheffp_server.Protocol.parse_request
         (Printf.sprintf {|{"id": 1, "cmd": "analyze"%s}|} field)
     with
-    | Ok r -> r.Cheffp_server.Protocol.jobs
+    | Ok r -> (Cheffp_server.Api.decode r.Cheffp_server.Protocol.api).jobs
     | Error m -> Alcotest.fail m
   in
   let cores = Domain.recommended_domain_count () in
@@ -403,6 +428,103 @@ let test_reuse_keys () =
       check "other text" (0, 2)
         (counts ~program:(source ^ "\n") "looped" looped_args);
       check "other args" (2, 0) (counts "looped" [ "2.5"; "7" ]))
+
+(* The CLI and the daemon run one handler per command, so on the same
+   source every report is the CLI's stdout byte for byte, and every bad
+   option value gets the CLI's usage message as the daemon's error. *)
+let test_cli_equals_server () =
+  let str s = Json.Str s in
+  let strs l = Json.List (List.map str l) in
+  with_source source (fun path ->
+      with_server (fun _ connect ->
+          let c = connect () in
+          let id = ref 0 in
+          let rpc cmd fields =
+            incr id;
+            Client.rpc c
+              (Client.request ~id:!id ~cmd (("program", str source) :: fields))
+          in
+          let cli cmd flags args = run_cli ((cmd :: path :: flags) @ args) in
+          List.iter
+            (fun (cmd, func, flags, fields, args) ->
+              let code, out = cli cmd ([ "--func"; func ] @ flags) args in
+              Alcotest.(check int) (cmd ^ " exit") 0 code;
+              let resp =
+                rpc cmd ([ ("func", str func); ("args", strs args) ] @ fields)
+              in
+              expect_ok cmd resp;
+              Alcotest.(check string) (cmd ^ ": report = CLI stdout") out
+                (member_str "report" resp))
+            [
+              ("analyze", "looped", [], [], looped_args);
+              ( "tune", "looped", [ "--threshold"; "1e-6" ],
+                [ ("threshold", Json.Num 1e-6) ], looped_args );
+              ( "search", "looped",
+                [ "--threshold"; "1e-6"; "--samples"; "8" ],
+                [ ("threshold", Json.Num 1e-6); ("samples", Json.Num 8.) ],
+                looped_args );
+              ( "validate", "poly",
+                [ "--demote"; "a:f32"; "--margin"; "2" ],
+                [ ("demote", strs [ "a:f32" ]); ("margin", Json.Num 2.) ],
+                [ "0.5"; "2.0" ] );
+            ];
+          List.iter
+            (fun (what, cmd, flags, server_cmd, fields) ->
+              let code, out = cli cmd ([ "--func"; "looped" ] @ flags) looped_args in
+              Alcotest.(check int) (what ^ ": usage error") 124 code;
+              let err =
+                expect_error what
+                  (rpc server_cmd
+                     ([ ("func", str "looped"); ("args", strs looped_args);
+                        ("threshold", Json.Num 1e-6) ]
+                     @ fields))
+              in
+              Alcotest.(check string) (what ^ ": the CLI's message")
+                (List.hd (String.split_on_char '\n' out))
+                ("cheffp: " ^ err))
+            [
+              ("model", "analyze", [ "--model"; "bogus" ], "analyze",
+                [ ("model", str "bogus") ]);
+              ("target", "analyze", [ "--target"; "f8" ], "analyze",
+                [ ("target", str "f8") ]);
+              ("strategy", "search", [ "--threshold"; "1e-6"; "--strategy"; "bogus" ],
+                "search", [ ("strategy", str "bogus") ]);
+              ("mode", "validate", [ "--mode"; "bogus" ], "validate",
+                [ ("mode", str "bogus") ]);
+              ("range backend", "analyze", [ "--range"; "--range-backend"; "foo" ],
+                "range", [ ("range_backend", str "foo") ]);
+              ("demotion spec", "validate", [ "--demote"; "s" ], "validate",
+                [ ("demote", strs [ "s" ]) ]);
+              ("prune margin", "search",
+                [ "--threshold"; "1e-6"; "--prune-margin"; "0.5" ], "search",
+                [ ("prune_margin", Json.Num 0.5) ]);
+              ("quantile", "search",
+                [ "--threshold"; "1e-6"; "--samples"; "8"; "--target-quantile"; "7" ],
+                "search", [ ("samples", Json.Num 8.); ("target_quantile", Json.Num 7.) ]);
+            ]))
+
+(* [jobs] reaches [Pool.parallel_map] end to end: 500 is answered, with
+   the result of 1. The request is only sent once the decoder is seen to
+   clamp, so a build without the clamp fails here instead of spawning
+   hundreds of domains. *)
+let test_jobs_clamped_end_to_end () =
+  let cores = Domain.recommended_domain_count () in
+  if (Cheffp_server.Api.decode { Cheffp_server.Api.default with jobs = 500 }).jobs > cores
+  then Alcotest.fail "jobs 500 is not clamped to the host's cores";
+  with_server (fun _ connect ->
+      let c = connect () in
+      let tune id jobs =
+        let resp =
+          Client.rpc c
+            (Client.request ~id ~cmd:"tune"
+               [ ("program", Json.Str source); ("func", Json.Str "looped");
+                 ("args", Json.List (List.map (fun a -> Json.Str a) looped_args));
+                 ("threshold", Json.Num 1e-6); ("jobs", Json.Num jobs) ])
+        in
+        expect_ok (Printf.sprintf "jobs %g" jobs) resp;
+        Json.to_string (Json.member "result" resp)
+      in
+      Alcotest.(check string) "jobs 500 = jobs 1" (tune 1 1.) (tune 2 500.))
 
 let test_errors_not_cached () =
   with_server (fun _ connect ->
@@ -522,6 +644,9 @@ let () =
         [
           Alcotest.test_case "analyze reuse" `Quick test_analyze_reuse;
           Alcotest.test_case "reuse keys" `Quick test_reuse_keys;
+          Alcotest.test_case "cli = server" `Quick test_cli_equals_server;
+          Alcotest.test_case "jobs clamped end to end" `Quick
+            test_jobs_clamped_end_to_end;
           Alcotest.test_case "errors not cached" `Quick test_errors_not_cached;
           Alcotest.test_case "concurrent analyze" `Quick test_concurrent_analyze;
           Alcotest.test_case "drop on drain" `Quick test_drop_on_drain;

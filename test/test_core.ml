@@ -539,35 +539,6 @@ let test_rewrite_of_outcome () =
   Alcotest.(check bool) "declares f32" (o.Tuner.demoted <> [])
     (contains text ": f32")
 
-let test_tune_multi () =
-  let prog = Parser.parse_program loopy_src in
-  let datasets =
-    [
-      [ Interp.Aflt 0.5; Interp.Aint 20 ];
-      [ Interp.Aflt 3.0; Interp.Aint 40 ];
-      [ Interp.Aflt 1.5; Interp.Aint 5 ];
-    ]
-  in
-  let o, evaluations =
-    Tuner.tune_multi ~prog ~func:"acc" ~args_list:datasets ~threshold:1e-5 ()
-  in
-  Alcotest.(check int) "one evaluation per dataset" 3 (List.length evaluations);
-  List.iter
-    (fun (ev : Tuner.evaluation) ->
-      Alcotest.(check bool) "every dataset within threshold" true
-        (ev.Tuner.actual_error <= 1e-5))
-    evaluations;
-  Alcotest.(check bool) "worst case embedded" true
-    (List.for_all
-       (fun (ev : Tuner.evaluation) ->
-         ev.Tuner.actual_error <= o.Tuner.evaluation.Tuner.actual_error)
-       evaluations);
-  Alcotest.(check bool) "empty dataset list rejected" true
-    (try
-       ignore (Tuner.tune_multi ~prog ~func:"acc" ~args_list:[] ~threshold:1e-5 ());
-       false
-     with Invalid_argument _ -> true)
-
 (* ------------------------------------------------------------------ *)
 (* Search baseline                                                    *)
 
@@ -739,7 +710,6 @@ let () =
           Alcotest.test_case "budget respected" `Quick test_tune_respects_budget;
           Alcotest.test_case "margin" `Quick test_tune_margin;
           Alcotest.test_case "args not mutated" `Quick test_tuner_args_not_mutated;
-          Alcotest.test_case "multi-dataset" `Quick test_tune_multi;
         ] );
       ( "signed-accumulation",
         [
