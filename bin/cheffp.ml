@@ -408,13 +408,11 @@ let tune_cmd =
     ~doc:"Greedy mixed-precision tuning against an error threshold."
     Term.(
       const
-        (fun func threshold target emit profiled jobs batch no_batch samples
-             dist seed args ->
+        (fun func threshold target emit profiled jobs samples dist seed args ->
           { Api.default with func; threshold = Some threshold; target; emit;
-            profiled; jobs; batch; no_batch; samples; dist; seed; args })
+            profiled; jobs; samples; dist; seed; args })
       $ func_arg $ threshold_arg $ target_arg $ emit_arg $ profiled_arg
-      $ jobs_arg $ batch_arg $ no_batch_arg $ samples_arg $ dist_arg
-      $ seed_arg $ rest_args)
+      $ jobs_arg $ samples_arg $ dist_arg $ seed_arg $ rest_args)
 
 let search_cmd =
   shared "search" Api.search

@@ -125,35 +125,18 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
   let chosen =
     match strategy with
     | `Modelled ->
-        (* Pure fast path: zero candidate executions. Greedy in
-           ascending-atom order under half the threshold — the same
-           factor-2 headroom {!Tuner.tune}'s default margin budgets for
-           Source-mode rounding the first-order model does not see —
-           with the overflow veto answered from the profile's ranges. *)
+        (* Pure fast path: zero candidate executions. {!Tuner.tune}'s
+           profiled selection under half the threshold — the same
+           factor-2 headroom its default margin budgets for Source-mode
+           rounding the first-order model does not see. *)
         Trace.with_span "search.model_score" @@ fun () ->
-        let eps = Fp.unit_roundoff target in
         let budget = threshold /. 2. in
-        let by_atom =
-          List.filter
-            (fun v -> not (Profile.overflows profile ~target v))
-            candidates
-          |> List.sort (fun a b ->
-                 compare (Profile.atom profile a) (Profile.atom profile b))
-        in
         skip (List.length candidates);
         if Trace.enabled () then begin
           Trace.add_attr "scored" (Trace.Int (List.length candidates));
           Trace.add_attr "budget" (Trace.Float budget)
         end;
-        let chosen, _ =
-          List.fold_left
-            (fun (acc, spent) v ->
-              let c = Profile.atom profile v *. eps in
-              if spent +. c <= budget then (v :: acc, spent +. c)
-              else (acc, spent))
-            ([], 0.) by_atom
-        in
-        List.rev chosen
+        (Tuner.select profile ~target ~budget candidates).Tuner.demoted
     | (`Measured | `Hybrid) as strategy ->
         let prune = strategy = `Hybrid in
         (* What one candidate configuration's "error" means. Point mode:

@@ -35,10 +35,10 @@ type strategy = [ `Measured | `Modelled | `Hybrid ]
     - [`Measured]: every candidate is executed (the pure Precimonious
       baseline of earlier revisions);
     - [`Modelled]: zero candidate executions — one augmented profile
-      run scores everything, the chosen set is the greedy
-      ascending-atom selection under half the threshold (the same
-      Source-mode headroom {!Tuner.tune}'s default margin budgets),
-      with overflow vetoes answered from the profile's value ranges;
+      run scores everything, and the chosen set is {!Tuner.select}
+      under half the threshold (the same Source-mode headroom
+      {!Tuner.tune}'s default margin budgets), with overflow vetoes
+      answered from the profile's value ranges;
     - [`Hybrid] (the default): every accept/drop decision still comes
       from a measured (or batched) run — the model only spends the
       executions whose results cannot influence those decisions: the

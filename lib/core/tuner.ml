@@ -77,63 +77,36 @@ let evaluate ?builtins ?mode ?(jobs = 1) ~prog ~func ~args config =
       ev
   | _ -> assert false
 
-(* Batched evaluation: every chunk's lane sweep carries the all-double
-   reference in lane 0, so each evaluation's actual_error and
-   modelled_speedup come from the same sweep — one batch run replaces
-   |chunk| + 1 scalar runs. The batch artifact and the divergence
-   fallback both go through the compile cache, so a whole session pays
-   one batch compile per (program, func, mode). *)
-let evaluate_many ?builtins ?mode ?(jobs = 1) ?(lanes = Batch.default_lanes)
-    ~prog ~func ~args configs =
-  Trace.with_span "tuner.evaluate_many" @@ fun () ->
-  if Trace.enabled () then begin
-    Trace.add_attr "configs" (Trace.Int (List.length configs));
-    Trace.add_attr "lanes" (Trace.Int lanes)
-  end;
-  let b = Compile_cache.compile_batch ?builtins ?mode ~meter:true ~prog ~func () in
-  let fallback config =
-    Compile_cache.compile ?builtins ?mode ~meter:true ~config ~prog ~func ()
+type selection = {
+  demoted : string list;
+  vetoed : string list;
+  estimated_error : float;
+  contributions : (string * float) list;
+}
+
+(* The one greedy selection: veto the candidates that would overflow,
+   sort the rest by contribution, ascending, and take each one whose
+   contribution still fits the running sum within [budget]. *)
+let greedy ~contribution ~overflows ~budget candidates =
+  let vetoed, kept = List.partition overflows candidates in
+  let contributions =
+    List.map (fun v -> (v, contribution v)) kept
+    |> List.sort (fun (_, a) (_, b) -> compare a b)
   in
-  let chunk_size = max 1 (lanes - 1) in
-  let rec chunks = function
-    | [] -> []
-    | l ->
-        let rec take n acc = function
-          | rest when n = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | c :: rest -> take (n - 1) (c :: acc) rest
-        in
-        let h, t = take chunk_size [] l in
-        h :: chunks t
+  let demoted, estimated_error =
+    List.fold_left
+      (fun (chosen, acc) (v, e) ->
+        if acc +. e <= budget then (v :: chosen, acc +. e) else (chosen, acc))
+      ([], 0.) contributions
   in
-  chunks configs
-  |> Cheffp_util.Pool.parallel_map ~jobs (fun chunk ->
-         let cfgs = Array.of_list (Config.double :: chunk) in
-         let counters =
-           Array.init (Array.length cfgs) (fun _ ->
-               Cost.Counter.create Cost.default)
-         in
-         let r = Batch.run ~counters ~fallback b ~configs:cfgs args in
-         let value l =
-           match r.Batch.lanes.(l).Interp.ret with
-           | Some (Builtins.F x) -> x
-           | _ ->
-               invalid_arg "Tuner.evaluate_many: function must return a float"
-         in
-         let reference = value 0 in
-         let ref_cost = Cost.Counter.total counters.(0) in
-         List.mapi
-           (fun i config ->
-             let l = i + 1 in
-             let cost = Cost.Counter.total counters.(l) in
-             {
-               config;
-               actual_error = Float.abs (value l -. reference);
-               modelled_speedup = (if cost > 0. then ref_cost /. cost else 1.);
-               casts = Cost.Counter.casts counters.(l);
-             })
-           chunk)
-  |> List.concat
+  { demoted = List.rev demoted; vetoed; estimated_error; contributions }
+
+let select profile ~target ~budget candidates =
+  let eps = Fp.unit_roundoff target in
+  greedy
+    ~contribution:(fun v -> Profile.atom profile v *. eps)
+    ~overflows:(Profile.overflows profile ~target)
+    ~budget candidates
 
 type outcome = {
   threshold : float;
@@ -145,7 +118,7 @@ type outcome = {
 }
 
 let tune ?model ?profile ?(target = Fp.F32) ?mode ?builtins ?(margin = 2.0)
-    ?(jobs = 1) ?batch ~prog ~func ~args ~threshold () =
+    ?(jobs = 1) ~prog ~func ~args ~threshold () =
   Trace.with_span "tuner.tune" @@ fun () ->
   if Trace.enabled () then begin
     Trace.add_attr "func" (Trace.Str func);
@@ -153,15 +126,13 @@ let tune ?model ?profile ?(target = Fp.F32) ?mode ?builtins ?(margin = 2.0)
     Trace.add_attr "jobs" (Trace.Int jobs);
     Trace.add_attr "profiled" (Trace.Bool (profile <> None))
   end;
+  let budget = threshold /. margin in
   (* Contribution and range queries come either from a caller-supplied
      error-atom profile — a previous augmented run, answered without any
      new analysis or execution — or from a fresh adapt-model estimate. *)
-  let per_var, range_of =
+  let pick =
     match profile with
-    | Some p ->
-        let eps = Fp.unit_roundoff target in
-        ( (fun v -> Profile.atom p v *. eps),
-          fun v -> List.assoc_opt v (Profile.ranges p) )
+    | Some p -> select p ~target ~budget
     | None ->
         let model =
           match model with Some m -> m | None -> Model.adapt ~target ()
@@ -173,46 +144,28 @@ let tune ?model ?profile ?(target = Fp.F32) ?mode ?builtins ?(margin = 2.0)
             ~prog ~func ()
         in
         let report = Estimate.run est args in
-        ( (fun v ->
+        (* A variable whose observed magnitude approaches the target
+           format's largest finite value would overflow when demoted:
+           veto it outright (first-order error models cannot see
+           overflow). *)
+        let limit = 0.5 *. Fp.max_finite target in
+        greedy
+          ~contribution:(fun v ->
             Option.value ~default:0.
-              (List.assoc_opt v report.Estimate.per_variable)),
-          fun v -> List.assoc_opt v report.Estimate.ranges )
+              (List.assoc_opt v report.Estimate.per_variable))
+          ~overflows:(fun v ->
+            match List.assoc_opt v report.Estimate.ranges with
+            | Some (lo, hi) -> Float.max (Float.abs lo) (Float.abs hi) > limit
+            | None -> false)
+          ~budget
   in
-  let candidates = float_variables (func_exn prog func) in
-  (* A variable whose observed magnitude approaches the target format's
-     largest finite value would overflow when demoted: veto it outright
-     (first-order error models cannot see overflow). *)
-  let limit = 0.5 *. Fp.max_finite target in
-  let overflows v =
-    match range_of v with
-    | Some (lo, hi) -> Float.max (Float.abs lo) (Float.abs hi) > limit
-    | None -> false
-  in
-  let vetoed = List.filter overflows candidates in
-  let candidates = List.filter (fun v -> not (overflows v)) candidates in
-  let contributions =
-    List.map (fun v -> (v, per_var v)) candidates
-    |> List.sort (fun (_, a) (_, b) -> compare a b)
-  in
-  let budget = threshold /. margin in
-  let demoted, estimated_error =
-    List.fold_left
-      (fun (chosen, acc) (v, e) ->
-        if acc +. e <= budget then (v :: chosen, acc +. e)
-        else (chosen, acc))
-      ([], 0.) contributions
-  in
-  let demoted = List.rev demoted in
-  let config = Config.demote_all Config.double demoted target in
-  let evaluation =
-    match batch with
-    | Some lanes when lanes > 1 -> (
-        match
-          evaluate_many ?builtins ?mode ~jobs ~lanes ~prog ~func ~args
-            [ config ]
-        with
-        | [ ev ] -> ev
-        | _ -> assert false)
-    | _ -> evaluate ?builtins ?mode ~jobs ~prog ~func ~args config
-  in
-  { threshold; demoted; vetoed; estimated_error; contributions; evaluation }
+  let s = pick (float_variables (func_exn prog func)) in
+  let config = Config.demote_all Config.double s.demoted target in
+  {
+    threshold;
+    demoted = s.demoted;
+    vetoed = s.vetoed;
+    estimated_error = s.estimated_error;
+    contributions = s.contributions;
+    evaluation = evaluate ?builtins ?mode ~jobs ~prog ~func ~args config;
+  }

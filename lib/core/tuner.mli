@@ -4,10 +4,12 @@
     contribution to the total FP error (its estimated error if demoted),
     then demote the cheapest variables greedily while the accumulated
     estimate stays within the user's threshold. Each candidate
-    configuration can be validated by executing the program bit-accurately
-    under the configuration and comparing with the all-double result, and
-    its performance is modelled by the {!Cheffp_precision.Cost} meter
-    (OCaml has no native narrow floats; see DESIGN.md). *)
+    configuration is validated by {!evaluate}: it executes the program
+    bit-accurately under the configuration and compares with the
+    all-double result, and a metered scalar run models its performance
+    with the {!Cheffp_precision.Cost} meter (OCaml has no native narrow
+    floats; see DESIGN.md). So each configuration has one modelled
+    speedup, whichever tuner chose it. *)
 
 open Cheffp_ir
 module Config = Cheffp_precision.Config
@@ -36,33 +38,8 @@ val evaluate :
     [jobs > 1] the two runs execute on separate domains — results are
     bit-identical either way. *)
 
-val evaluate_many :
-  ?builtins:Builtins.t ->
-  ?mode:Config.rounding_mode ->
-  ?jobs:int ->
-  ?lanes:int ->
-  prog:Ast.program ->
-  func:string ->
-  args:Interp.arg list ->
-  Config.t list ->
-  evaluation list
-(** Evaluate many candidate configurations in lane-parallel sweeps
-    ({!Cheffp_ir.Batch}): the configurations are chunked into groups of
-    [lanes - 1] (default {!Cheffp_ir.Batch.default_lanes}), each group
-    runs as one metered sweep with the all-double reference in lane 0,
-    and chunks fan out over [jobs] domains (default 1). One sweep
-    replaces |group| + 1 scalar compile+run pairs; the batch artifact
-    is memoized config-independently in {!Compile_cache}
-    ({!Compile_cache.compile_batch}). [actual_error] values are
-    bit-identical to per-config {!evaluate} calls; modelled costs
-    reflect the shared conservatively-optimized body (see
-    {!Cheffp_ir.Batch.run}), which coincides with the scalar model on
-    programs without literal identity operations. Order follows the
-    input list. *)
-
-type outcome = {
-  threshold : float;
-  demoted : string list;  (** variables chosen for demotion *)
+type selection = {
+  demoted : string list;  (** chosen, in ascending contribution order *)
   vetoed : string list;
       (** variables excluded because their observed value range would
           overflow the target format (first-order error models cannot
@@ -71,8 +48,27 @@ type outcome = {
       (** sum of the chosen variables' estimated contributions *)
   contributions : (string * float) list;
       (** every candidate's estimated contribution, ascending *)
+}
+
+val select :
+  Profile.t -> target:Fp.format -> budget:float -> string list -> selection
+(** The greedy selection from an error-atom profile, the one
+    {!tune} and {!Search.tune}'s [`Modelled] strategy share: drop the
+    candidates {!Profile.overflows} vetoes, sort the rest by their
+    contribution [atom * unit_roundoff target], ascending, and demote
+    each one while the sum of the chosen contributions stays within
+    [budget]. No execution. *)
+
+type outcome = {
+  threshold : float;
+  demoted : string list;
+  vetoed : string list;
+  estimated_error : float;
+  contributions : (string * float) list;
   evaluation : evaluation;  (** validation of the chosen configuration *)
 }
+(** The {!selection} made under [threshold], field for field, and its
+    validation. *)
 
 val tune :
   ?model:Model.t ->
@@ -82,7 +78,6 @@ val tune :
   ?builtins:Builtins.t ->
   ?margin:float ->
   ?jobs:int ->
-  ?batch:int ->
   prog:Ast.program ->
   func:string ->
   args:Interp.arg list ->
@@ -97,19 +92,19 @@ val tune :
     [threshold /. margin]. [margin] (default 2.0) is a safety factor:
     the first-order model charges one rounding per assignment, while
     [Source]-mode execution rounds every operation, so selections
-    exactly at the threshold can overshoot slightly. [jobs] (default 1)
-    is forwarded to the validating {!evaluate}. [batch] ([Some k],
-    [k >= 2]) routes that validation through {!evaluate_many} instead —
-    one two-lane sweep rather than two scalar runs.
+    exactly at the threshold can overshoot slightly. The chosen
+    configuration is validated by {!evaluate}, the one check every
+    tuner makes, with [jobs] (default 1) forwarded to it.
 
     [profile], when given, replaces the fresh analysis entirely
-    ([model] is then ignored): contributions are the profile's
-    error atoms scaled by [target]'s unit roundoff (the first-order
-    Taylor estimate, see {!Profile.score_vars}) and the overflow veto
-    reads the profile's recorded ranges — the whole selection runs
-    without a single new augmented execution, so a profile built once
-    (or fetched from the cache, {!Profile.build_cached}) serves any
-    number of thresholds and targets. *)
+    ([model] is then ignored): the selection is {!select}, whose
+    contributions are the profile's error atoms scaled by [target]'s
+    unit roundoff (the first-order Taylor estimate, see
+    {!Profile.score_vars}) and whose overflow veto reads the profile's
+    recorded ranges — the whole selection runs without a single new
+    augmented execution, so a profile built once (or fetched from the
+    cache, {!Profile.build_cached}) serves any number of thresholds and
+    targets. *)
 
 val float_variables : Ast.func -> string list
 (** The demotion candidates of a function: float parameters, float

@@ -1,7 +1,6 @@
 open Ast
 module Fp = Cheffp_precision.Fp
 module Config = Cheffp_precision.Config
-module Cost = Cheffp_precision.Cost
 module Growable = Cheffp_util.Growable
 module Pool = Cheffp_util.Pool
 module Trace = Cheffp_obs.Trace
@@ -95,7 +94,7 @@ module Lanes = struct
   open Lower
 
   type fmt = int
-  type st = { mutable rules : rule list; mutable nrules : int; predicate : bool }
+  type st = { mutable rules : rule list; mutable nrules : int }
 
   let f64 = 0
   let same = Int.equal
@@ -112,33 +111,7 @@ module Lanes = struct
   let wider st a b =
     if a = b then a else if a = f64 || b = f64 then f64 else add st (Rwider (a, b))
 
-  let predicated st = st.predicate
-
-  let charge_all c : instr =
-   fun env ->
-    for l = 0 to env.k - 1 do
-      Cost.Counter.charge env.counters.(l) c
-    done
-
-  let charge_op fmt cls : instr =
-    if fmt = f64 then charge_all (Cost.op_charge Fp.F64 cls)
-    else fun env ->
-      let k = env.k in
-      let r = fmt * k in
-      for l = 0 to k - 1 do
-        Cost.Counter.charge env.counters.(l) (Cost.op_charge env.lanes.fmts.(r + l) cls)
-      done
-
-  let charge_approx cls = charge_all (Cost.approx_charge cls)
-
-  let charge_cast a b : instr =
-   fun env ->
-    let k = env.k and fm = env.lanes.fmts in
-    let a = a * k and b = b * k in
-    for l = 0 to k - 1 do
-      if not (Fp.equal_format fm.(a + l) fm.(b + l)) then
-        Cost.Counter.charge_cast env.counters.(l)
-    done
+  let predicated = true
 
   let move fmt d src : instr =
     if fmt = f64 then fun env ->
@@ -431,7 +404,6 @@ type t = {
   func_name : string;
   builtins_opt : Builtins.t option;
   mode : Config.rounding_mode;
-  meter : bool;
   optimize : bool;
   fmt_cache : (Config.t * int * Fp.format array) option Atomic.t;
       (** input sweeps resolve the same (config, lanes) formats for
@@ -440,8 +412,8 @@ type t = {
           chunks of one sweep carry the same physical config) *)
 }
 
-let compile ?builtins ?(mode = Config.Source) ?(meter = false)
-    ?(optimize = true) ~prog ~func () =
+let compile ?builtins ?(mode = Config.Source) ?(optimize = true) ~prog ~func
+    () =
   let builtins_opt = builtins in
   let builtins =
     match builtins with Some b -> b | None -> Builtins.create ()
@@ -451,8 +423,8 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
      store-rounding survive, which is what the per-lane bit-identity
      contract needs. *)
   let f = Lower.prepare ~opaque:(fun _ -> true) ~optimize prog func in
-  let st = { Lanes.rules = [ Rf64 ]; nrules = 1; predicate = not meter } in
-  let lowered = Lowering.lower st ~builtins ~mode ~meter ~prog f in
+  let st = { Lanes.rules = [ Rf64 ]; nrules = 1 } in
+  let lowered = Lowering.lower st ~builtins ~mode ~prog f in
   {
     lowered;
     rules = Array.of_list (List.rev st.Lanes.rules);
@@ -460,7 +432,6 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
     func_name = func;
     builtins_opt;
     mode;
-    meter;
     optimize;
     fmt_cache = Atomic.make None;
   }
@@ -506,23 +477,15 @@ let formats t configs =
         fmts
 
 let default_fallback t config =
-  Compile.compile ?builtins:t.builtins_opt ~config ~mode:t.mode ~meter:t.meter
+  Compile.compile ?builtins:t.builtins_opt ~config ~mode:t.mode
     ~optimize:t.optimize ~prog:t.prog ~func:t.func_name ()
 
 (* The one lane runner: lane [l] runs [inputs.(l)] under [configs.(l)].
    Both axes are this function. *)
-let run_lanes ~span ~runs ?counters ?fallback t ~configs inputs =
+let run_lanes ~span ~runs ?fallback t ~configs inputs =
   let k = Array.length configs in
   let lw = t.lowered in
   Array.iter (Lower.check_arity lw) inputs;
-  let counters =
-    match counters with
-    | Some cs ->
-        if Array.length cs <> k then
-          invalid_arg (span ^ ": one counter per lane expected");
-        cs
-    | None -> Array.init k (fun _ -> Cost.Counter.create Cost.default)
-  in
   Trace.with_span span @@ fun () ->
   if Trace.enabled () then Trace.add_attr "lanes" (Trace.Int k);
   Metrics.set_gauge lanes_g (float_of_int k);
@@ -533,7 +496,7 @@ let run_lanes ~span ~runs ?counters ?fallback t ~configs inputs =
   let env =
     Lower.env lw
       ~fstacks:(Array.init k (fun _ -> Growable.Float.create ()))
-      ~counters ~sink:Lower.no_sink
+      ~counter:Lower.no_counter ~sink:Lower.no_sink
       ~lanes:{ fmts; active = Array.make k true; dropped = 0; ints = Array.make k 0 }
   in
   (* Arguments load per lane with storage-format rounding; caller arrays
@@ -614,27 +577,23 @@ let run_lanes ~span ~runs ?counters ?fallback t ~configs inputs =
   let lanes =
     Array.init k (fun l ->
         if env.lanes.active.(l) then Lower.result lw env ending l
-        else begin
-          Cost.Counter.reset counters.(l);
-          Compile.run ~counter:counters.(l) (compiled configs.(l))
-            (Interp.copy_args inputs.(l))
-        end)
+        else Compile.run (compiled configs.(l)) (Interp.copy_args inputs.(l)))
   in
   if env.lanes.dropped > 0 then Metrics.add divergence_c env.lanes.dropped;
   if Trace.enabled () then Trace.add_attr "divergences" (Trace.Int env.lanes.dropped);
   { lanes; divergences = env.lanes.dropped }
 
-let run ?counters ?fallback t ~configs args =
+let run ?fallback t ~configs args =
   let k = Array.length configs in
   if k = 0 then invalid_arg "Batch.run: empty configuration array";
-  run_lanes ~span:"batch.run" ~runs:runs_c ?counters ?fallback t ~configs
+  run_lanes ~span:"batch.run" ~runs:runs_c ?fallback t ~configs
     (Array.make k args)
 
-let run_inputs ?counters ?fallback t ~config (inputs : Interp.arg list array) =
+let run_inputs ?fallback t ~config (inputs : Interp.arg list array) =
   let k = Array.length inputs in
   if k = 0 then invalid_arg "Batch.run_inputs: empty inputs array";
-  run_lanes ~span:"batch.input_sweep" ~runs:input_sweeps_c ?counters ?fallback
-    t ~configs:(Array.make k config) inputs
+  run_lanes ~span:"batch.input_sweep" ~runs:input_sweeps_c ?fallback t
+    ~configs:(Array.make k config) inputs
 
 let floats t r =
   Array.map
@@ -644,8 +603,8 @@ let floats t r =
       | _ -> fail "function %S did not return a float" t.lowered.Lower.func.fname)
     r.lanes
 
-let run_inputs_floats ?counters ?fallback t ~config inputs =
-  floats t (run_inputs ?counters ?fallback t ~config inputs)
+let run_inputs_floats ?fallback t ~config inputs =
+  floats t (run_inputs ?fallback t ~config inputs)
 
 let run_inputs_many ?(jobs = 1) ?(lanes = default_lanes) ?fallback t ~config
     (inputs : Interp.arg list array) =

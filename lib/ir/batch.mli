@@ -6,8 +6,8 @@
     function on the {e same} arguments; the scalar path ({!Compile})
     pays one full compile + run per configuration. This module compiles
     the function {b once} through the same slot lowering as {!Compile}
-    ({!Lower}: scopes, slots, int code, statements, parameters, format
-    rules and charge order are defined there, once), with a lane
+    ({!Lower}: scopes, slots, int code, statements, parameters and
+    format rules are defined there, once), with a lane
     emitter: a float slot holds K {e lanes} side by side, and every float
     instruction is one tight unboxed loop over them. A float node's
     format is a rule over the configuration, resolved per lane when a
@@ -26,10 +26,15 @@
     keeps going and each dissenting lane is {e deactivated} and
     transparently re-run from scratch through the scalar fallback
     ({!Compile.run}) under its own configuration. Divergence therefore
-    costs performance, never correctness. On unmetered artifacts an
-    [if] whose condition is a float comparison and whose branches only
-    assign float scalars is predicated instead: each lane keeps its own
-    outcome and nothing diverges.
+    costs performance, never correctness. An [if] whose condition is a
+    float comparison and whose branches only assign float scalars is
+    predicated instead: each lane keeps its own outcome and nothing
+    diverges.
+
+    {b No cost.} Lanes compute values only. A configuration's modelled
+    cost is what a metered scalar {!Compile.run} charges: the tuner
+    validates every configuration that way, and every report prints
+    that cost.
 
     {b Bit-identity contract.} For every lane, the returned
     {!Interp.result} is bit-identical to a scalar
@@ -63,7 +68,6 @@ val default_sweep_lanes : int
 val compile :
   ?builtins:Builtins.t ->
   ?mode:Cheffp_precision.Config.rounding_mode ->
-  ?meter:bool ->
   ?optimize:bool ->
   prog:Ast.program ->
   func:string ->
@@ -77,9 +81,7 @@ val compile :
     configuration are all disabled; the surviving rewrites are the
     value-preserving ones, keeping the bit-identity contract.
 
-    [meter] (default [false]) statically emits per-lane cost metering;
-    charges land in the counters passed to {!run}. Like
-    {!Compile.compile}, the result is immutable and safe to share
+    Like {!Compile.compile}, the result is immutable and safe to share
     across runs and domains ({!run} builds a private environment).
     @raise Compile.Compile_error on malformed programs. *)
 
@@ -90,7 +92,6 @@ type result = {
 }
 
 val run :
-  ?counters:Cheffp_precision.Cost.Counter.t array ->
   ?fallback:(Cheffp_precision.Config.t -> Compile.t) ->
   t ->
   configs:Cheffp_precision.Config.t array ->
@@ -98,25 +99,16 @@ val run :
   result
 (** Run every configuration of [configs] as one lane sweep.
 
-    [counters] (metered compilations only; length must equal the lane
-    count when given) receive each lane's modelled cost; a diverged
-    lane's counter is reset and recharged by its scalar fallback run, so
-    counters are always consistent with the results. Charges reflect the
-    shared conservatively-optimized body: a program containing literal
-    identity operations ([x + 0.0]) that a per-config scalar compile
-    would fold away can model marginally higher than scalar — values are
-    still bit-identical, and no real workload contains such
-    operations. [fallback] supplies
-    the scalar compilation used for diverged lanes (default: a direct
-    {!Compile.compile} with this batch's builtins/mode/meter settings —
-    pass a {!Compile_cache}-backed closure to memoize).
-    @raise Invalid_argument on an empty [configs] or a counter length
-    mismatch. @raise Compile.Compile_error on arity/kind mismatches.
+    [fallback] supplies the scalar compilation used for diverged lanes
+    (default: a direct {!Compile.compile} with this batch's
+    builtins/mode/optimize settings — pass a {!Compile_cache}-backed
+    closure to memoize).
+    @raise Invalid_argument on an empty [configs].
+    @raise Compile.Compile_error on arity/kind mismatches.
     @raise Interp.Runtime_error naming the function where a lane's
     scalar run raises it. *)
 
 val run_inputs :
-  ?counters:Cheffp_precision.Cost.Counter.t array ->
   ?fallback:(Cheffp_precision.Config.t -> Compile.t) ->
   t ->
   config:Cheffp_precision.Config.t ->
@@ -144,12 +136,11 @@ val run_inputs :
     [lanes]/[divergences] attributes and bumps the
     [batch.input_sweeps] counter; divergences land in the shared
     [batch.divergence_total].
-    @raise Invalid_argument on empty [inputs] or a counter length
-    mismatch. @raise Compile.Compile_error on arity/kind mismatches.
+    @raise Invalid_argument on empty [inputs].
+    @raise Compile.Compile_error on arity/kind mismatches.
     @raise Interp.Runtime_error as {!run}. *)
 
 val run_inputs_floats :
-  ?counters:Cheffp_precision.Cost.Counter.t array ->
   ?fallback:(Cheffp_precision.Config.t -> Compile.t) ->
   t ->
   config:Cheffp_precision.Config.t ->

@@ -47,12 +47,8 @@ module Scalar = struct
   let same = Fp.equal_format
   let var_fmt config s name = Interp.effective_format config s name
   let wider _ = Interp.wider
-  let predicated _ = false
+  let predicated = false
 
-  let charge k : instr = fun env -> Cost.Counter.charge env.counter k
-  let charge_op fmt cls = charge (Cost.op_charge fmt cls)
-  let charge_approx cls = charge (Cost.approx_charge cls)
-  let charge_cast _ _ = charge Cost.cast_charge
   let[@inline] round32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
   let move fmt d src : instr =
@@ -198,12 +194,10 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
     Config.has_override config v
     || not (Fp.equal_format (Config.default_format config) Fp.F64)
   in
-  Lowering.lower config ~builtins ~mode ~meter ~prog
+  Lowering.lower config ~builtins ~mode
+    ?meter:(if meter then Some Fun.id else None)
+    ~prog
     (Lower.prepare ~opaque ~optimize prog func)
-
-(* The counter of every run of an unmetered lowering without one of its
-   own: nothing charges it. *)
-let no_counter = Cost.Counter.create Cost.default
 
 let run ?counter ?sink:s (t : t) (args : Interp.arg list) : Interp.result =
   Lower.check_arity t args;
@@ -213,7 +207,7 @@ let run ?counter ?sink:s (t : t) (args : Interp.arg list) : Interp.result =
   let counter =
     match counter with
     | Some c -> c
-    | None -> if t.meter then Cost.Counter.create Cost.default else no_counter
+    | None -> if t.meter then Cost.Counter.create Cost.default else Lower.no_counter
   in
   let sink =
     match s with
@@ -221,7 +215,7 @@ let run ?counter ?sink:s (t : t) (args : Interp.arg list) : Interp.result =
     | None -> if t.records then sink 0 else Lower.no_sink
   in
   let env =
-    Lower.env t ~fstacks:[| Growable.Float.create () |] ~counters:[| counter |] ~sink
+    Lower.env t ~fstacks:[| Growable.Float.create () |] ~counter ~sink
       ~lanes:Lower.no_lanes
   in
   List.iter2

@@ -32,7 +32,8 @@
     nothing elsewhere. Precision semantics match {!Interp}. Metering
     charges are emitted in the order the expression tree is evaluated
     (an operation's charge before its operands' code, right operand
-    before left), so totals are reproducible to the bit. *)
+    before left), so totals are reproducible to the bit. This is the
+    only metered executor: {!Batch}'s lanes carry no cost. *)
 
 exception Compile_error of string
 

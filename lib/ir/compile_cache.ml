@@ -308,14 +308,14 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
 (* A batch compilation is configuration- and input-generic, so its key
    drops the config component entirely: one cached artifact serves every
    lane sweep of a (program, func, mode), on both lane axes. *)
-let batch_key ~prog ~func ~mode ~optimize ~meter =
-  Printf.sprintf "batch|%s|%s|%s|%b|%b" (prog_digest prog) func
+let batch_key ~prog ~func ~mode ~optimize =
+  Printf.sprintf "batch|%s|%s|%s|%b" (prog_digest prog) func
     (match mode with Config.Source -> "src" | Config.Extended -> "ext")
-    optimize meter
+    optimize
 
-let compile_batch ?builtins ?(mode = Config.Source) ?(meter = false)
-    ?(optimize = true) ~prog ~func () =
-  let k = batch_key ~prog ~func ~mode ~optimize ~meter in
+let compile_batch ?builtins ?(mode = Config.Source) ?(optimize = true) ~prog
+    ~func () =
+  let k = batch_key ~prog ~func ~mode ~optimize in
   lookup_or ~key:k ~label:func ~builtins
     ~select:(function Batched t -> Some t | _ -> None)
     ~inject:(fun t -> Batched t)
@@ -324,10 +324,9 @@ let compile_batch ?builtins ?(mode = Config.Source) ?(meter = false)
           if Trace.enabled () then begin
             Trace.add_attr "func" (Trace.Str func);
             Trace.add_attr "batch" (Trace.Bool true);
-            Trace.add_attr "optimize" (Trace.Bool optimize);
-            Trace.add_attr "meter" (Trace.Bool meter)
+            Trace.add_attr "optimize" (Trace.Bool optimize)
           end;
-          Batch.compile ?builtins ~mode ~meter ~optimize ~prog ~func ()))
+          Batch.compile ?builtins ~mode ~optimize ~prog ~func ()))
 
 (* Lock-free: every field is an atomic read. The order — hits, then
    misses, then lookups — pairs with the update order in [lookup_or]

@@ -118,18 +118,17 @@ val compile :
 val compile_batch :
   ?builtins:Builtins.t ->
   ?mode:Cheffp_precision.Config.rounding_mode ->
-  ?meter:bool ->
   ?optimize:bool ->
   prog:Ast.program ->
   func:string ->
   unit ->
   Batch.t
 (** Memoized {!Batch.compile}. Batch artifacts are configuration- and
-    input-generic, so the key is
-    [(program digest, func, mode, optimize, meter)] {e without} a
-    configuration — one cached compile serves every lane sweep on both
-    axes ({!Batch.run} and {!Batch.run_inputs}), which is what lets a
-    whole tuning search, sampled or not, pay a single compilation per
+    input-generic and carry no cost, so the key is
+    [(program digest, func, mode, optimize)], with no configuration and
+    no meter — one cached compile serves every lane sweep on both axes
+    ({!Batch.run} and {!Batch.run_inputs}), which is what lets a whole
+    tuning search, sampled or not, pay a single compilation per
     (program, mode). Entries share the scalar table, its LRU bound and
     its statistics. *)
 

@@ -18,10 +18,12 @@
    One environment type serves both. A run has [k] lanes ([k = 1] for
    a scalar run): float slot [s] of lane [l] is [fl.(s * k + l)], and
    float array slot [s] of lane [l] is [fa.(s * k + l)]. Ints, int
-   arrays and the int stack are shared by the lanes; float stacks and
-   cost counters are per lane, and lane 0's also have fields of their
-   own, which save the scalar emitter an array read per charge and per
-   push or pop. The value stacks are chunked ({!Cheffp_util.Growable}):
+   arrays and the int stack are shared by the lanes; float stacks are
+   per lane, and lane 0's also has a field of its own, which saves the
+   scalar emitter an array read per push or pop. Only the scalar
+   emitter meters: its formats are known while it emits, so a charge is
+   a constant, and a run has one cost counter. Lanes carry no cost.
+   The value stacks are chunked ({!Cheffp_util.Growable}):
    a run that pushes nothing, as every primal run, allocates no chunk,
    and one that pushes holds its modelled [stack_peak_bytes] plus less
    than one chunk per stack. *)
@@ -75,11 +77,10 @@ type env = {
   fstacks : Growable.Float.t array;  (** per-lane value stacks *)
   fstack : Growable.Float.t;  (** lane 0's, which a scalar run uses *)
   istack : Growable.Int.t;
-  counters : Cost.Counter.t array;
-      (** per-lane cost accumulators of the run: metered compilations
-          charge into them, so one compiled value serves many runs (and
-          domains), each with its own counters *)
-  counter : Cost.Counter.t;  (** lane 0's, which a scalar run charges *)
+  counter : Cost.Counter.t;
+      (** the run's cost accumulator: metered compilations charge into
+          it, so one compiled value serves many runs (and domains), each
+          with its own counter *)
   sink : sink;  (** the run's recording sink, the same way *)
   lanes : lanes;
 }
@@ -172,14 +173,8 @@ module type EMITTER = sig
 
   val wider : st -> fmt -> fmt -> fmt
 
-  val predicated : st -> bool
+  val predicated : bool
   (** Lower float-only [if]s to per-lane masks (see [Make]). *)
-
-  val charge_op : fmt -> Cost.op_class -> instr
-  val charge_approx : Cost.op_class -> instr
-
-  val charge_cast : fmt -> fmt -> instr
-  (** Charge a cast on the lanes where the two formats differ. *)
 
   (* Float instructions, destination slot first: [move fmt d src] is
      [d <- round fmt src], [load d a i] is [d <- a.(i)] and
@@ -228,7 +223,7 @@ type 'fmt lowered = {
   func : Ast.func;
   body : instr;
   ends : ending;  (** how the body ends when it runs to completion *)
-  meter : bool;  (** the body charges the run's counters *)
+  meter : bool;  (** the body charges the run's counter *)
   records : bool;  (** the body writes the run's sink *)
   consts : float array;
   nit : int;
@@ -246,7 +241,10 @@ let prepare ~opaque ~optimize prog func =
   if optimize then Optimize.optimize_func ~opaque f else f
 
 module Make (E : EMITTER) = struct
-  let lower st ~builtins ~mode ~meter ~prog (f : Ast.func) : E.fmt lowered =
+  (* [meter], when given, is a node's format on every run: only an
+     emitter that resolves formats while it emits, the scalar one, has
+     it, and a lowering with it charges the run's counter. *)
+  let lower st ~builtins ~mode ?meter ~prog (f : Ast.func) : E.fmt lowered =
     let nfl = ref 0 and nit = ref 0 and nfa = ref 0 and nia = ref 0 in
     let fresh r () = let i = !r in incr r; i in
     let fresh_f = fresh nfl and fresh_i = fresh nit in
@@ -290,11 +288,15 @@ module Make (E : EMITTER) = struct
     (* Charges are instructions of their own, in expression-tree
        evaluation order: an operation's charges precede its operands'
        code, the right operand's before the left's. So a total does not
-       depend on how the tree is lowered, and both emitters charge in
-       the same order. *)
-    let charge_op fmt cls = if meter then [ E.charge_op fmt cls ] else [] in
+       depend on how the tree is lowered. *)
+    let charges k = [ (fun env -> Cost.Counter.charge env.counter k) ] in
+    let charge_op fmt cls =
+      match meter with
+      | Some format -> charges (Cost.op_charge (format fmt) cls)
+      | None -> []
+    in
     let charge_cast a b =
-      if meter && not (E.same a b) then [ E.charge_cast a b ] else []
+      if meter <> None && not (E.same a b) then charges Cost.cast_charge else []
     in
     let op_fmt fmt = match mode with Config.Source -> fmt | Config.Extended -> E.f64 in
 
@@ -396,9 +398,10 @@ module Make (E : EMITTER) = struct
       in
       let fmt = op_fmt widest in
       let charge =
-        if not sg.Builtins.approx then charge_op fmt sg.Builtins.cls
-        else if meter then [ E.charge_approx sg.Builtins.cls ]
-        else []
+        match meter with
+        | Some _ when sg.Builtins.approx ->
+            charges (Cost.approx_charge sg.Builtins.cls)
+        | _ -> charge_op fmt sg.Builtins.cls
       in
       (* [at, op, own]: where the result lands, the instruction computing
          it, and whether [at] is a slot of this call's own rather than an
@@ -559,8 +562,8 @@ module Make (E : EMITTER) = struct
        every lane's own outcome: the condition becomes a per-lane mask
        and each branch store fires only on the lanes it matches. The
        not-taken side's values are never stored, so there is no
-       divergence. Metered lowerings keep branches: predication would
-       charge the not-taken side's operations. *)
+       divergence. Only the lane emitter predicates, and lanes carry no
+       cost, so no charge is made for the not-taken side. *)
     let rec predicable_fexpr e =
       match e with
       | Fconst _ -> true
@@ -625,7 +628,7 @@ module Make (E : EMITTER) = struct
               [ (fun env -> env.ia.(slot).(gi env) <- g env) ]
           | Bf _ | Bi _ -> fail "scalar %S indexed" a)
       | If (Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b), t, e)
-        when E.predicated st && predicable_fexpr a && predicable_fexpr b
+        when E.predicated && predicable_fexpr a && predicable_fexpr b
              && List.for_all predicable_stmt t
              && List.for_all predicable_stmt e ->
           let va = fexpr a in
@@ -778,7 +781,7 @@ module Make (E : EMITTER) = struct
       func = f;
       body;
       ends;
-      meter;
+      meter = meter <> None;
       records = !records;
       consts = consts_init;
       nit = !nit;
@@ -797,10 +800,14 @@ let check_arity t args =
     fail "function %S expects %d arguments, got %d" t.func.fname
       (List.length t.params) (List.length args)
 
-(* A fresh environment with one lane per counter and stack, constants
+(* The counter of every run without one of its own that charges
+   nothing: an unmetered lowering's, and every lane run's. *)
+let no_counter = Cost.Counter.create Cost.default
+
+(* A fresh environment with one lane per value stack, constants
    preset. *)
-let env t ~fstacks ~counters ~sink ~lanes =
-  let k = Array.length counters in
+let env t ~fstacks ~counter ~sink ~lanes =
+  let k = Array.length fstacks in
   let fl =
     if k = 1 then Array.copy t.consts
     else begin
@@ -818,8 +825,7 @@ let env t ~fstacks ~counters ~sink ~lanes =
     fstacks;
     fstack = fstacks.(0);
     istack = Growable.Int.create ();
-    counters;
-    counter = counters.(0);
+    counter;
     sink;
     lanes;
   }

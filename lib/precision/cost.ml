@@ -81,9 +81,4 @@ module Counter = struct
   let total c = c.running.sum
   let casts c = c.casts
   let ops c = c.ops
-
-  let reset c =
-    c.running.sum <- 0.;
-    c.casts <- 0;
-    c.ops <- 0
 end

@@ -77,5 +77,4 @@ module Counter : sig
       counter (§V-B, "Quantifying overhead of type-casts"). *)
 
   val ops : t -> int
-  val reset : t -> unit
 end

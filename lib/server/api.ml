@@ -106,7 +106,8 @@ let format_of s =
   | None -> usage ("unknown format " ^ s)
 
 (* The model is built lazily: [Model.adapt] rejects an f64 target, which
-   every command but analyze may ask for. [jobs] becomes the domain
+   the commands that build no adapt model may ask for ([narrow]). [jobs]
+   becomes the domain
    count of [Pool.parallel_map], which spawns [jobs - 1] domains per
    call; past the host's cores more only fail to spawn or contend. *)
 let decode (r : request) =
@@ -155,6 +156,12 @@ let decode (r : request) =
     dists = Option.fold ~none:[] ~some:Sampling.dists_of_string r.dist;
     box = Option.map Rbox.override_of_string r.box;
   }
+
+(* The commands that build [Model.adapt] — analyze with the adapt model,
+   tune without a profile — need a target narrower than binary64. *)
+let narrow (r : request) =
+  if Fp.equal_format (format_of r.target) Fp.F64 then
+    usage "the adapt model needs a target narrower than f64 (f32|f16)"
 
 type source = { key : string; prog : Ast.program; kernels : Import.core list }
 
@@ -321,7 +328,8 @@ let pairs l =
    the registry and the derivative table are fixed, so that key is
    complete. [Estimate.run] records into a sink of its own, so
    concurrent requests share one analysis. *)
-let analyze s r =
+let analyze s (r : request) =
+  if r.model = "adapt" then narrow r;
   command s r @@ fun j args ->
   let model = Lazy.force j.o.model in
   let est =
@@ -368,8 +376,9 @@ let analyze s r =
       [ code; "model: " ^ model.Model.model_name ^ "\n"; Report.estimate e;
         quantiles; bound ] )
 
-let tune s r =
+let tune s (r : request) =
   let threshold = threshold "tune" r in
+  if not r.profiled then narrow r;
   command s r @@ fun j args ->
   let prog = j.src.prog and func = r.func and builtins = s.builtins in
   let profile =
@@ -377,8 +386,8 @@ let tune s r =
     else None
   in
   let o =
-    Tuner.tune ?profile ~target:j.o.target ~builtins ~jobs:j.o.jobs
-      ?batch:j.o.batch ~prog ~func ~args ~threshold ()
+    Tuner.tune ?profile ~target:j.o.target ~builtins ~jobs:j.o.jobs ~prog
+      ~func ~args ~threshold ()
   in
   let ev = o.Tuner.evaluation in
   (* Post-hoc distributional check of the chosen configuration: measured

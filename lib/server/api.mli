@@ -5,7 +5,9 @@
     and the report the CLI prints. *)
 
 exception Usage of string
-(** A bad option value, raised by {!decode} before any work runs. *)
+(** A bad option value, raised before any work runs: by {!decode}, and
+    by {!analyze} with the adapt model and {!tune} without a profile
+    when the target is f64, which the adapt model cannot use. *)
 
 type request = {
   program : string;  (** program text *)

@@ -38,7 +38,3 @@ let finished ~ok ~queue_wait ~elapsed =
 let rejected () = Metrics.incr rejected_c
 
 let set_queue_depth n = Metrics.set_gauge depth_g (float_of_int n)
-
-let requests () = Metrics.counter_value requests_c
-let errors () = Metrics.counter_value errors_c
-let in_flight () = Atomic.get active

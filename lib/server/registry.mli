@@ -19,7 +19,3 @@ val rejected : unit -> unit
 val set_queue_depth : int -> unit
 (** Mirror of the executor's queue depth, updated at submit and
     completion. *)
-
-val requests : unit -> int
-val errors : unit -> int
-val in_flight : unit -> int

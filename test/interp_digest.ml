@@ -23,14 +23,12 @@
 
    - Compile dump: a metered [Compile.run] per configuration, with the
      Interp dump's fields.
-   - Batch dump: every configuration as one [Batch.run] sweep, metered
-     and unmetered: per lane the return value, [out] parameters,
-     [stack_peak_bytes], counter total and casts, then the sweep's
-     [divergences].
-   - Input-sweep dump: per configuration, metered and unmetered,
-     [Batch.run_inputs] over 8 argument vectors, lane [l] scaling every
-     float scalar and float-array element by [1 + l/8]; the Batch
-     dump's fields.
+   - Batch dump: every configuration as one [Batch.run] sweep: per
+     lane the return value, [out] parameters and [stack_peak_bytes],
+     then the sweep's [divergences]. Lanes carry no cost.
+   - Input-sweep dump: per configuration, [Batch.run_inputs] over 8
+     argument vectors, lane [l] scaling every float scalar and
+     float-array element by [1 + l/8]; the Batch dump's fields.
 
    A compiled run that raises is recorded as [error] without its
    message, so a change of exception or wording moves no line.
@@ -106,19 +104,14 @@ let compile_dump b ~config ~mode ~prog ~func args =
   | r -> run_fields b counter args r
   | exception _ -> Buffer.add_string b "error\n"
 
-(* One lane sweep: per lane its result and counter, then the
-   divergence count. [sweep counters] runs it. *)
-let sweep_dump b ~k sweep =
-  let counters = Array.init k (fun _ -> Cost.Counter.create Cost.default) in
-  match sweep counters with
+(* One lane sweep: per lane its result, then the divergence count. *)
+let sweep_dump b sweep =
+  match sweep () with
   | (r : Batch.result) ->
-      Array.iteri
-        (fun l lane ->
+      Array.iter
+        (fun lane ->
           ret_outs b lane;
-          Printf.bprintf b " peak %d cost %h casts %d\n"
-            lane.Interp.stack_peak_bytes
-            (Cost.Counter.total counters.(l))
-            (Cost.Counter.casts counters.(l)))
+          Printf.bprintf b " peak %d\n" lane.Interp.stack_peak_bytes)
         r.Batch.lanes;
       Printf.bprintf b "divergences %d\n" r.Batch.divergences
   | exception _ -> Buffer.add_string b "error\n"
@@ -140,26 +133,20 @@ let perturbed args l =
 (* The Batch and input-sweep dumps of one rounding mode. *)
 let batch_dumps bb bx ~configs ~mode ~prog ~func args =
   let inputs = Array.init sweep_lanes (perturbed args) in
-  List.iter
-    (fun meter ->
-      let tag = Printf.sprintf "meter %b: " meter in
-      match Batch.compile ~mode ~meter ~prog ~func () with
-      | exception _ ->
-          Buffer.add_string bb (tag ^ "error\n");
-          Buffer.add_string bx (tag ^ "error\n")
-      | t ->
-          let cfgs = Array.of_list (List.map snd configs) in
-          Buffer.add_string bb tag;
-          sweep_dump bb ~k:(Array.length cfgs) (fun counters ->
-              Batch.run ~counters t ~configs:cfgs (Interp.copy_args args));
-          List.iter
-            (fun (cname, config) ->
-              Printf.bprintf bx "%s%s: " tag cname;
-              sweep_dump bx ~k:sweep_lanes (fun counters ->
-                  Batch.run_inputs ~counters t ~config
-                    (Array.map Interp.copy_args inputs)))
-            configs)
-    [ true; false ]
+  match Batch.compile ~mode ~prog ~func () with
+  | exception _ ->
+      Buffer.add_string bb "error\n";
+      Buffer.add_string bx "error\n"
+  | t ->
+      let cfgs = Array.of_list (List.map snd configs) in
+      sweep_dump bb (fun () ->
+          Batch.run t ~configs:cfgs (Interp.copy_args args));
+      List.iter
+        (fun (cname, config) ->
+          Printf.bprintf bx "%s: " cname;
+          sweep_dump bx (fun () ->
+              Batch.run_inputs t ~config (Array.map Interp.copy_args inputs)))
+        configs
 
 let measurement b (m : Shadow.measurement) =
   Printf.bprintf b " %s low %h hi %h lo %h abs %h rel %h" m.Shadow.name

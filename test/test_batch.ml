@@ -9,55 +9,30 @@
 open Cheffp_ir
 module Fp = Cheffp_precision.Fp
 module Config = Cheffp_precision.Config
-module Cost = Cheffp_precision.Cost
 
 let parse src =
   let prog = Parser.parse_program src in
   Typecheck.check_program prog;
   prog
 
-let scalar_result ~prog ~func ?counter config args =
-  let c = Compile.compile ~config ~meter:(counter <> None) ~prog ~func () in
-  Compile.run ?counter c args
-
 (* Run [configs] batched and scalar on the same args and check every
    lane's full result (return, outs, stack peak) is identical bit for
    bit. Returns the batch divergence count. *)
-let check_lanes ?(meter = false) ~prog ~func configs args =
-  let b = Batch.compile ~meter ~prog ~func () in
-  let counters =
-    Array.init (Array.length configs) (fun _ ->
-        Cost.Counter.create Cost.default)
-  in
-  let r = Batch.run ~counters b ~configs args in
+let check_lanes ~prog ~func configs args =
+  let b = Batch.compile ~prog ~func () in
+  let r = Batch.run b ~configs args in
   Array.iteri
     (fun l config ->
-      let scounter = Cost.Counter.create Cost.default in
-      let sres =
-        scalar_result ~prog ~func
-          ?counter:(if meter then Some scounter else None)
-          config
-          (Interp.copy_args args)
-      in
+      let c = Compile.compile ~config ~prog ~func () in
       Alcotest.(check bool)
         (Printf.sprintf "lane %d result bit-identical" l)
         true
-        (r.Batch.lanes.(l) = sres);
-      if meter then begin
-        Alcotest.(check (float 0.))
-          (Printf.sprintf "lane %d modelled cost" l)
-          (Cost.Counter.total scounter)
-          (Cost.Counter.total counters.(l));
-        Alcotest.(check int)
-          (Printf.sprintf "lane %d casts" l)
-          (Cost.Counter.casts scounter)
-          (Cost.Counter.casts counters.(l))
-      end)
+        (r.Batch.lanes.(l) = Compile.run c (Interp.copy_args args)))
     configs;
   r.Batch.divergences
 
 (* ------------------------------------------------------------------ *)
-(* Uniform control flow: no divergence, metering matches per lane.    *)
+(* Uniform control flow: no divergence.                               *)
 
 let conform_src =
   {|func kernel(x: f64, n: int): f64 {
@@ -83,7 +58,7 @@ let test_uniform () =
     |]
   in
   let d =
-    check_lanes ~meter:true ~prog ~func:"kernel" configs
+    check_lanes ~prog ~func:"kernel" configs
       [ Interp.Aflt 1.7; Interp.Aint 20 ]
   in
   Alcotest.(check int) "no divergence" 0 d
@@ -134,7 +109,7 @@ let test_branch_flip () =
     |]
   in
   let d =
-    check_lanes ~meter:true ~prog ~func:"branchy" configs
+    check_lanes ~prog ~func:"branchy" configs
       [ Interp.Aflt 0.99998 ]
   in
   (* Three lanes agree the branch is not taken; the f16 lane dissents. *)
@@ -144,8 +119,7 @@ let test_branch_flip () =
 (* Predicated float-only branches: an [if] whose condition is a float
    comparison and whose bodies only assign float scalars keeps every
    lane's own outcome — no consensus, no divergence — while staying
-   bit-identical to scalar per lane. Metered artifacts must keep the
-   consensus path (predication would charge the not-taken side). *)
+   bit-identical to scalar per lane. *)
 
 let pred_src =
   {|func predy(x: f64): f64 {
@@ -170,13 +144,7 @@ let test_predicated_branch_no_divergence () =
     [| Config.double; Config.demote Config.double "t" Fp.F16 |]
   in
   let d = check_lanes ~prog ~func:"predy" configs [ Interp.Aflt 0.99998 ] in
-  Alcotest.(check int) "predicated: no divergence" 0 d;
-  (* The same flip through a metered artifact stays a consensus point. *)
-  let d =
-    check_lanes ~meter:true ~prog ~func:"predy" configs
-      [ Interp.Aflt 0.99998 ]
-  in
-  Alcotest.(check int) "metered: consensus divergence" 1 d
+  Alcotest.(check int) "predicated: no divergence" 0 d
 
 let test_predicated_input_sweep () =
   let prog = parse pred_src in
@@ -227,7 +195,7 @@ let test_while_trip_count () =
   in
   Alcotest.(check bool) "trip counts differ" true (runs.(0) <> runs.(1));
   let d =
-    check_lanes ~meter:true ~prog ~func:"trippy" configs
+    check_lanes ~prog ~func:"trippy" configs
       [ Interp.Aflt 0.33329 ]
   in
   Alcotest.(check int) "one diverged lane" 1 d
@@ -297,33 +265,7 @@ let test_run_many () =
     [ (1, 2); (2, 2); (1, 8); (2, 1) ]
 
 (* ------------------------------------------------------------------ *)
-(* Wiring: batched Search/Tuner agree with their scalar paths.        *)
-
-let test_evaluate_many () =
-  let prog = parse conform_src in
-  let args = [ Interp.Aflt 1.7; Interp.Aint 20 ] in
-  let configs =
-    [
-      Config.demote Config.double "t" Fp.F32;
-      Config.demote_all Config.double [ "s"; "t"; "u" ] Fp.F32;
-      Config.demote Config.double "u" Fp.F16;
-    ]
-  in
-  let batched =
-    Cheffp_core.Tuner.evaluate_many ~lanes:3 ~prog ~func:"kernel" ~args configs
-  in
-  List.iter2
-    (fun config ev ->
-      let s = Cheffp_core.Tuner.evaluate ~prog ~func:"kernel" ~args config in
-      Alcotest.(check (float 0.))
-        "actual_error" s.Cheffp_core.Tuner.actual_error
-        ev.Cheffp_core.Tuner.actual_error;
-      Alcotest.(check (float 0.))
-        "modelled_speedup" s.Cheffp_core.Tuner.modelled_speedup
-        ev.Cheffp_core.Tuner.modelled_speedup;
-      Alcotest.(check int) "casts" s.Cheffp_core.Tuner.casts
-        ev.Cheffp_core.Tuner.casts)
-    configs batched
+(* Wiring: batched Search agrees with its scalar path.                *)
 
 let test_search_batched () =
   let prog = parse conform_src in
@@ -496,7 +438,7 @@ let () =
     [
       ( "unit",
         [
-          Alcotest.test_case "uniform lanes, metered" `Quick test_uniform;
+          Alcotest.test_case "uniform lanes" `Quick test_uniform;
           Alcotest.test_case "extended mode" `Quick test_extended_mode;
           Alcotest.test_case "branch flip diverges" `Quick test_branch_flip;
           Alcotest.test_case "predicated branch, no divergence" `Quick
@@ -508,8 +450,6 @@ let () =
           Alcotest.test_case "array writes after split" `Quick
             test_array_writes_after_split;
           Alcotest.test_case "run_many chunking" `Quick test_run_many;
-          Alcotest.test_case "evaluate_many = evaluate" `Quick
-            test_evaluate_many;
           Alcotest.test_case "batched search = scalar search" `Quick
             test_search_batched;
           Alcotest.test_case "malformed programs" `Quick test_malformed;

@@ -194,6 +194,28 @@ let test_exit_codes () =
             [ "search"; "--func"; "looped"; "--threshold"; "1e-6"; "--samples";
               "8"; "--target-quantile"; "7"; "1.3"; "20" ],
             "[0, 1]" );
+          (* The adapt model needs a narrower target than binary64. *)
+          ( "analyze at f64",
+            [ "analyze"; "--func"; "poly"; "--target"; "f64"; "0.5"; "2.0" ],
+            "f32|f16" );
+          ( "tune at f64",
+            [ "tune"; "--func"; "looped"; "--threshold"; "1e-6"; "--target";
+              "f64"; "1.3"; "20" ],
+            "f32|f16" );
+        ]);
+  (* The f64 cases that build no adapt model still run. *)
+  with_temp_file (fun path ->
+      List.iter
+        (fun args ->
+          let code, out = run_cli (List.hd args :: path :: List.tl args) in
+          Alcotest.(check int) (String.concat " " args ^ ": " ^ out) 0 code)
+        [
+          [ "analyze"; "--func"; "poly"; "--model"; "taylor"; "--target"; "f64";
+            "0.5"; "2.0" ];
+          [ "tune"; "--func"; "looped"; "--threshold"; "1e-6"; "--profiled";
+            "--target"; "f64"; "1.3"; "20" ];
+          [ "search"; "--func"; "looped"; "--threshold"; "1e-6"; "--target";
+            "f64"; "1.3"; "20" ];
         ]);
   let code, _ = run_cli [ "check"; "/nonexistent/file.mfp" ] in
   Alcotest.(check int) "missing file" 2 code;
@@ -209,6 +231,54 @@ let test_exit_codes () =
   in
   Alcotest.(check int) "UNSOUND verdict" 1 code;
   Alcotest.(check bool) "verdict printed" true (contains out "UNSOUND")
+
+(* A configuration has one modelled speedup: the one [tune] reports is
+   [Tuner.evaluate]'s for the configuration it chose, in the daemon's
+   result and in the CLI's report. rigidbody2 and sine_taylor are the
+   corpus kernels where a cost metered on lanes, over a body optimized
+   with every variable opaque, differs most from the scalar one. *)
+let test_tune_speedup_is_evaluate () =
+  let module Api = Cheffp_server.Api in
+  let module Json = Cheffp_server.Json in
+  let s = Api.session () in
+  List.iter
+    (fun k ->
+      let file =
+        Filename.concat
+          (Option.get (Cheffp_benchmarks.Corpus.corpus_dir ()))
+          (k ^ ".fpcore")
+      in
+      let program = In_channel.with_open_bin file In_channel.input_all in
+      let result, _ =
+        Api.tune s
+          { Api.default with program; fpcore = true; func = k;
+            threshold = Some 1e-6 }
+      in
+      let src = Api.load s ~fpcore:true program in
+      let core = Option.get (Cheffp_fpcore.Import.find src.Api.kernels k) in
+      let config =
+        Cheffp_precision.Config.demote_all Cheffp_precision.Config.double
+          (Json.string_list (Json.member "demoted" result))
+          Cheffp_precision.Fp.F32
+      in
+      let ev =
+        Cheffp_core.Tuner.evaluate ~builtins:s.Api.builtins ~prog:src.Api.prog
+          ~func:k ~args:core.Cheffp_fpcore.Import.default_args config
+      in
+      let speedup = ev.Cheffp_core.Tuner.modelled_speedup in
+      Alcotest.(check (option (float 0.)))
+        (k ^ ": tune's speedup") (Some speedup)
+        (Json.to_float_opt (Json.member "modelled_speedup" result));
+      let code, out =
+        run_cli
+          [ "tune"; file; "--format"; "fpcore"; "--func"; k; "--threshold";
+            "1e-6" ]
+      in
+      Alcotest.(check int) (k ^ ": exit") 0 code;
+      let line = Printf.sprintf "modelled speedup: %.2fx" speedup in
+      Alcotest.(check bool) (k ^ " prints " ^ line ^ ": " ^ out) true
+        (contains out line))
+    [ "rigidbody2"; "sine_taylor" ]
 
 (* A program that fails at run time is an input error (exit 2) with a
    message, in every command: never an escaped exception (125). *)
@@ -487,6 +557,10 @@ let test_cli_equals_server () =
                 [ ("model", str "bogus") ]);
               ("target", "analyze", [ "--target"; "f8" ], "analyze",
                 [ ("target", str "f8") ]);
+              ("adapt at f64", "analyze", [ "--target"; "f64" ], "analyze",
+                [ ("target", str "f64") ]);
+              ("tune at f64", "tune", [ "--threshold"; "1e-6"; "--target"; "f64" ],
+                "tune", [ ("target", str "f64") ]);
               ("strategy", "search", [ "--threshold"; "1e-6"; "--strategy"; "bogus" ],
                 "search", [ ("strategy", str "bogus") ]);
               ("mode", "validate", [ "--mode"; "bogus" ], "validate",
@@ -632,6 +706,8 @@ let () =
           Alcotest.test_case "sensitivity" `Quick test_sensitivity;
           Alcotest.test_case "errors" `Quick test_errors_reported;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
+          Alcotest.test_case "tune speedup = evaluate" `Quick
+            test_tune_speedup_is_evaluate;
           Alcotest.test_case "compiled run failures" `Quick
             test_compiled_run_failures;
           Alcotest.test_case "push/pop errors" `Quick test_push_pop_errors;
